@@ -5,7 +5,8 @@
 //! derived from a recorded workload trace (each µop books one completion
 //! event at its class latency). `engine` measures the end-to-end effect:
 //! the wheel + intrusive-list engine versus the retained O(window) scan
-//! oracle on the same pre-emulated trace.
+//! oracle on the same pre-emulated trace, for an integer (mcf) and an FP
+//! (applu) kernel.
 
 use std::collections::BTreeMap;
 
@@ -103,39 +104,37 @@ fn engine_vs_oracle(c: &mut Criterion) {
         AllocPolicy::RandomCommutative,
         RenameStrategy::ExactCount,
     );
-    let trace: Vec<_> = Workload::Mcf.trace().take(UOPS as usize).collect();
-    g.bench_with_input(BenchmarkId::from_parameter("event"), &trace, |b, trace| {
-        b.iter(|| {
-            Simulator::new(cfg)
-                .run_measured(trace.iter().copied(), 0, UOPS)
-                .cycles
-        })
-    });
-    // The event engine pinned to the cycle-by-cycle loop (the
-    // `WSRS_NO_SKIP=1` path): isolates the wall-clock contribution of
-    // event-horizon cycle skipping from the wheel + bitset machinery.
-    g.bench_with_input(
-        BenchmarkId::from_parameter("event_no_skip"),
-        &trace,
-        |b, trace| {
+    // mcf is stall-bound (cycle skipping's case); applu is FP and
+    // memory-bound, with dozens of operand-ready loads and stores queued
+    // behind each thread's memory order (memory-order parking's case).
+    for kernel in [Workload::Mcf, Workload::Applu] {
+        let trace: Vec<_> = kernel.trace().take(UOPS as usize).collect();
+        let id = |engine: &str| BenchmarkId::new(kernel.name(), engine);
+        g.bench_with_input(id("event"), &trace, |b, trace| {
+            b.iter(|| {
+                Simulator::new(cfg)
+                    .run_measured(trace.iter().copied(), 0, UOPS)
+                    .cycles
+            })
+        });
+        // The event engine pinned to the cycle-by-cycle loop (the
+        // `WSRS_NO_SKIP=1` path): isolates the wall-clock contribution of
+        // event-horizon cycle skipping from the wheel + bitset machinery.
+        g.bench_with_input(id("event_no_skip"), &trace, |b, trace| {
             b.iter(|| {
                 Simulator::new(cfg)
                     .run_measured_no_skip(trace.iter().copied(), 0, UOPS)
                     .cycles
             })
-        },
-    );
-    g.bench_with_input(
-        BenchmarkId::from_parameter("scan_oracle"),
-        &trace,
-        |b, trace| {
+        });
+        g.bench_with_input(id("scan_oracle"), &trace, |b, trace| {
             b.iter(|| {
                 Simulator::new(cfg)
                     .run_measured_scan_oracle(trace.iter().copied(), 0, UOPS)
                     .cycles
             })
-        },
-    );
+        });
+    }
     g.finish();
 }
 

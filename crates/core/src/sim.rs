@@ -354,6 +354,13 @@ pub(crate) struct Engine<'a> {
     /// thread (addresses are computed in order within a thread, §5.2).
     mem_next_issue: Vec<u64>,
     mem_next_assign: Vec<u64>,
+    /// Event scheduler: per-thread seqs of the in-flight, unissued memory
+    /// µops in memory order. The front is the one µop of its thread that
+    /// may issue next; a younger one whose operands arrive first waits
+    /// parked ([`crate::slots::F_PARKED`]) until it reaches the front.
+    /// Each FIFO holds at most a window of seqs and is preallocated to
+    /// the ROB size.
+    mem_order: Vec<VecDeque<u64>>,
     seq_next: u64,
     fetch_id_next: u64,
     thread_retired: Vec<u64>,
@@ -463,6 +470,9 @@ impl<'a> Engine<'a> {
             store_queues: vec![StoreQueue::new(); cfg.threads],
             mem_next_issue: vec![0; cfg.threads],
             mem_next_assign: vec![0; cfg.threads],
+            mem_order: (0..cfg.threads)
+                .map(|_| VecDeque::with_capacity(cfg.rob_size()))
+                .collect(),
             seq_next: 0,
             fetch_id_next: 0,
             thread_retired: vec![0; cfg.threads],
@@ -688,7 +698,10 @@ impl<'a> Engine<'a> {
     ///
     /// * **issue** — no µop is awake (`ready_count == 0`), and the wheel
     ///   delivers nothing before the target
-    ///   ([`CalendarWheel::next_due_before`]);
+    ///   ([`CalendarWheel::next_due_before`]). Parked memory µops are not
+    ///   awake and do not veto: none can issue before its thread's
+    ///   memory-order head, which is neither awake nor parked, so it waits
+    ///   on a producer's issue or on a wheel booking — either caps `t`;
     /// * **commit** — the head is not done, or completes no earlier than
     ///   the target (a done head with `done_cycle ≤ cycle + 1` vetoes);
     /// * **fetch** — every live thread is redirect-blocked (resume cycles
@@ -1229,6 +1242,9 @@ impl<'a> Engine<'a> {
                     if pending_srcs == 0 {
                         self.wheel.schedule(ready_at, seq);
                     }
+                    if mem_seq != MEM_NONE {
+                        self.mem_order[tid].push_back(seq);
+                    }
                 }
 
                 self.clusters[cl].window_occupancy += 1;
@@ -1478,18 +1494,33 @@ impl<'a> Engine<'a> {
     /// is an age-ordered `trailing_zeros` walk over the planes of clusters
     /// that still own an issue slot — a cluster whose width is spent drops
     /// out of the mask, narrowing the select exactly as the paper's
-    /// specialized windows do. A µop passed over (memory-order gate or FU
-    /// contention) keeps its bit and is excluded for the rest of the cycle
-    /// by the advancing `from` cursor, never re-examined.
+    /// specialized windows do. A µop passed over for FU contention keeps
+    /// its bit and is excluded for the rest of the cycle by the advancing
+    /// `from` cursor, never re-examined.
+    ///
+    /// Memory order never fails in select: a memory µop whose operands
+    /// arrive while an older memory µop of its thread is unissued is
+    /// parked ([`Rob::park`]) instead of woken, and gets its bit when the
+    /// older one issues. It is younger than the µop that just issued, so
+    /// the walk (past `from`) still reaches it this cycle: consecutive
+    /// memory µops issue together, in the cycle the scan oracle issues
+    /// them.
     fn issue_event(&mut self) {
         self.due_buf.clear();
         self.wheel.drain_due(self.cycle, &mut self.due_buf);
         if !self.due_buf.is_empty() {
             let front_seq = self.rob.seq_front();
             for k in 0..self.due_buf.len() {
-                let idx = (self.due_buf[k] - front_seq) as usize;
+                let seq = self.due_buf[k];
+                let idx = (seq - front_seq) as usize;
                 debug_assert!(!self.rob.is_done(idx));
-                self.rob.set_ready(idx);
+                if self.rob.mem_seq(idx) == MEM_NONE
+                    || self.mem_order[self.rob.thread(idx) as usize].front() == Some(&seq)
+                {
+                    self.rob.set_ready(idx);
+                } else {
+                    self.rob.park(idx);
+                }
             }
         }
         if self.rob.ready_count() == 0 {
@@ -1514,13 +1545,27 @@ impl<'a> Engine<'a> {
             debug_assert!(self.srcs_ready(self.rob.srcs(idx), self.rob.cluster(idx)));
             let cluster = self.rob.cluster(idx) as usize;
             let mem_seq = self.rob.mem_seq(idx);
-            let gates_ok = mem_seq == MEM_NONE
-                || mem_seq == self.mem_next_issue[self.rob.thread(idx) as usize];
-            if !gates_ok || !self.clusters[cluster].try_issue(self.rob.class(idx), self.cycle) {
+            debug_assert!(
+                mem_seq == MEM_NONE
+                    || mem_seq == self.mem_next_issue[self.rob.thread(idx) as usize],
+                "a memory-order-gated µop was awake"
+            );
+            if !self.clusters[cluster].try_issue(self.rob.class(idx), self.cycle) {
                 continue;
             }
             self.rob.clear_ready(idx);
             self.complete_issue(idx);
+            if mem_seq != MEM_NONE {
+                let order = &mut self.mem_order[self.rob.thread(idx) as usize];
+                debug_assert_eq!(order.front(), Some(&(front_seq + idx as u64)));
+                order.pop_front();
+                if let Some(&next) = order.front() {
+                    let nidx = (next - front_seq) as usize;
+                    if self.rob.unpark(nidx) {
+                        self.rob.set_ready(nidx);
+                    }
+                }
+            }
             if !self.clusters[cluster].has_issue_slot() {
                 avail &= !(1 << cluster);
             }
@@ -1804,6 +1849,7 @@ mod tests {
     use wsrs_isa::{Assembler, Emulator, Freg, Reg};
     use wsrs_mem::HierarchyConfig;
     use wsrs_regfile::RenameStrategy;
+    use wsrs_workloads::Workload;
 
     fn perfect(mut cfg: SimConfig) -> SimConfig {
         cfg.hierarchy = HierarchyConfig::perfect();
@@ -2645,6 +2691,24 @@ mod tests {
             e.run_inner(traces, 0, None)
         };
         assert_eq!(format!("{:?}", run(false)), format!("{:?}", run(true)));
+
+        // Two memory-heavy FP kernels under the paper hierarchy: each
+        // thread's loads and stores are memory-ordered (and parked) on
+        // their own, in one shared window.
+        let mut smt = smt_cfg(512);
+        smt.hierarchy = HierarchyConfig::paper();
+        let run = |force_scan: bool| {
+            let traces: Vec<Box<dyn Iterator<Item = DynInst>>> = vec![
+                Box::new(Workload::Swim.trace().take(20_000)),
+                Box::new(Workload::Applu.trace().take(20_000)),
+            ];
+            let mut e = Engine::new(&smt);
+            e.force_scan = force_scan;
+            e.run_inner(traces, 0, None)
+        };
+        let event = run(false);
+        assert!(event.memory.l1.misses > 100, "kernels must reach memory");
+        assert_eq!(format!("{event:?}"), format!("{:?}", run(true)));
     }
 
     /// Completion delays beyond the calendar wheel's ring take the
@@ -2737,6 +2801,76 @@ mod tests {
             fast.cycles
         );
         assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+    }
+
+    /// Memory-order parking: a load whose address waits on an L2 miss
+    /// holds back a burst of younger, operand-ready loads to one warm line
+    /// while the window fills behind them. The burst is parked, not awake,
+    /// so the dispatch-blocked wait is a dead region the skipper jumps —
+    /// and on issue of the gating load the whole burst still issues in
+    /// that same cycle, µop for µop as the scan oracle issues it.
+    #[test]
+    fn parked_memory_uops_issue_like_scan_and_let_skip_engage() {
+        let mut cfg = SimConfig::conventional_rr(256);
+        cfg.telemetry = true;
+        let mut a = Assembler::new();
+        let (b, c, x, y, i, n) = (
+            Reg::new(1),
+            Reg::new(2),
+            Reg::new(3),
+            Reg::new(4),
+            Reg::new(60),
+            Reg::new(61),
+        );
+        a.li(b, 0);
+        a.li(c, 1 << 19); // above every line the gating loads touch
+        a.li(i, 0);
+        a.li(n, 60);
+        let top = a.bind_label();
+        a.lw(x, b, 0); // misses: a fresh line every iteration
+        a.lw(y, x, 0); // address waits on the miss
+        for k in 0..6u8 {
+            a.lw(Reg::new(10 + k), c, 8 * i64::from(k)); // burst, operand-ready
+        }
+        a.addi(b, b, 8192);
+        a.addi(i, i, 1);
+        a.blt(i, n, top);
+        a.halt();
+        let prog = a.assemble();
+        let run = |force_scan: bool| {
+            let mut e = Engine::new(&cfg);
+            e.allow_skip = true; // independent of the process env
+            e.force_scan = force_scan;
+            e.timeline = Some((Vec::new(), usize::MAX));
+            let mut stream = PredictedIters::new(
+                vec![Emulator::new(prog.clone(), 1 << 20)],
+                cfg.predictor.build(),
+            );
+            while e.step(&mut stream) {}
+            let skipped = e.skipped_cycles;
+            let mut timeline = Vec::new();
+            let report = e.finish(Some(&mut timeline));
+            (skipped, report, timeline)
+        };
+        let (skipped, event, timeline) = run(false);
+        let (_, scan, scan_timeline) = run(true);
+        assert_eq!(format!("{event:?}"), format!("{scan:?}"));
+        let issues = |t: &[UopTiming]| t.iter().map(|u| u.issue).collect::<Vec<_>>();
+        assert_eq!(issues(&timeline), issues(&scan_timeline));
+        assert!(event.memory.l2.misses >= 60, "the gating loads must miss");
+        let same_cycle = timeline
+            .windows(2)
+            .filter(|w| w[0].op.is_load() && w[1].op.is_load() && w[0].issue == w[1].issue)
+            .count();
+        assert!(
+            same_cycle >= 60,
+            "unparked loads must issue in their predecessor's cycle: {same_cycle}"
+        );
+        assert!(
+            skipped * 5 > event.cycles,
+            "parked loads must not veto the skip: {skipped} of {} cycles",
+            event.cycles
+        );
     }
 
     /// Skipping across a redirect stall: a mispredict-heavy kernel with a

@@ -36,6 +36,9 @@ pub(crate) const F_DONE: u8 = 1 << 0;
 pub(crate) const F_LOAD: u8 = 1 << 1;
 pub(crate) const F_STORE: u8 = 1 << 2;
 pub(crate) const F_MISPREDICTED: u8 = 1 << 3;
+/// Operand-ready memory µop held out of the ready planes because an older
+/// memory µop of its thread has not issued yet (event scheduler only).
+pub(crate) const F_PARKED: u8 = 1 << 4;
 
 /// Null link in the intrusive per-register waiter lists. A live link packs
 /// `(seq << 1) | src_index`.
@@ -154,7 +157,8 @@ pub(crate) struct Rob {
     /// software analogue of the paper's narrowed select. One plane of
     /// `ready_words` words per cluster; bit `p` of plane `c` is set while
     /// the µop in ring slot `p` (which steered to cluster `c`) is awake
-    /// and awaiting issue. Physical positions are stable for a slot's
+    /// and awaiting issue — for a memory µop, also next in its thread's
+    /// memory order (otherwise it waits [`F_PARKED`]). Physical positions are stable for a slot's
     /// lifetime, so a set bit never has to move; age order is recovered
     /// by scanning words from `head` around the ring.
     ready: Vec<u64>,
@@ -371,7 +375,26 @@ impl Rob {
         (link, self.pending_srcs[p])
     }
 
-    /// Ready µops currently awaiting selection, across all clusters.
+    /// Marks slot `i` parked: operand-ready but memory-order-gated, so
+    /// kept out of the ready planes until [`Self::unpark`].
+    #[inline]
+    pub(crate) fn park(&mut self, i: usize) {
+        let p = self.at(i);
+        debug_assert_eq!(self.flags[p] & F_PARKED, 0, "slot parked twice");
+        self.flags[p] |= F_PARKED;
+    }
+
+    /// Clears slot `i`'s parked mark, returning whether it was parked.
+    #[inline]
+    pub(crate) fn unpark(&mut self, i: usize) -> bool {
+        let p = self.at(i);
+        let parked = self.flags[p] & F_PARKED != 0;
+        self.flags[p] &= !F_PARKED;
+        parked
+    }
+
+    /// Ready µops currently awaiting selection, across all clusters
+    /// (parked µops are not counted).
     #[inline]
     pub(crate) fn ready_count(&self) -> usize {
         self.ready_count
