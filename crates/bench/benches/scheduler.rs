@@ -117,8 +117,8 @@ fn engine_vs_oracle(c: &mut Criterion) {
                     .cycles
             })
         });
-        // The event engine pinned to the cycle-by-cycle loop (the
-        // `WSRS_NO_SKIP=1` path): isolates the wall-clock contribution of
+        // The event engine pinned to the cycle-by-cycle loop
+        // (`run_measured_no_skip`): isolates the wall-clock contribution of
         // event-horizon cycle skipping from the wheel + bitset machinery.
         g.bench_with_input(id("event_no_skip"), &trace, |b, trace| {
             b.iter(|| {

@@ -45,8 +45,8 @@ fn sim_throughput(c: &mut Criterion) {
 /// logic dominates. `crafty` (high-ILP integer) stresses the ready pool;
 /// `mcf` (pointer chasing) stresses the producer→consumer wakeup path,
 /// since almost every slot waits in the calendar for a load. Each workload
-/// also runs pinned to the cycle-by-cycle loop (`<name>_no_skip`, the
-/// `WSRS_NO_SKIP=1` path) so the gain from event-horizon cycle skipping is
+/// also runs pinned to the cycle-by-cycle loop (`<name>_no_skip`,
+/// `run_measured_no_skip`) so the gain from event-horizon cycle skipping is
 /// measurable in isolation — the gap is largest on stall-heavy `mcf`,
 /// where most cycles are skippable memory stalls.
 fn simulator_issue(c: &mut Criterion) {

@@ -17,9 +17,7 @@
 //! ```
 //!
 //! Both modes run the same reduced fixed grids (250 k warm-up + 500 k
-//! measured µops per cell — override with `WSRS_GATE_WARMUP` /
-//! `WSRS_GATE_MEASURE`, but note the gate refuses to compare manifests
-//! with mismatched windows), with cycle-attribution telemetry enabled so
+//! measured µops per cell), with cycle-attribution telemetry enabled so
 //! every manifest carries a full stall breakdown. The gate additionally
 //! re-runs a small sub-grid serially and with three workers and demands
 //! byte-identical normalized manifests — the determinism contract of the
@@ -34,8 +32,7 @@ use wsrs_bench::manifest::{
 };
 use wsrs_bench::windows::{gate_params, probe_params};
 use wsrs_bench::{
-    default_trace_store, figure4_configs, gate_experiments, grid_threads, run_grid_full,
-    run_grid_with_threads, RunParams,
+    default_trace_store, figure4_configs, gate_experiments, grid_threads, run_grid_full, RunParams,
 };
 use wsrs_core::{SampleSpec, SimConfig};
 use wsrs_telemetry::{GateOutcome, Json, RunManifest, Tolerances};
@@ -83,15 +80,7 @@ fn run_experiment(
             configs.len() - lanes
         );
     } else {
-        eprintln!("{experiment}: path: scalar (batching off or incompatible configs)");
-    }
-    if wsrs_core::skip_enabled() {
-        eprintln!("{experiment}: path: event-horizon cycle skipping on");
-    } else {
-        eprintln!(
-            "{experiment}: path: cycle-by-cycle ({} set)",
-            wsrs_core::NO_SKIP_ENV
-        );
+        eprintln!("{experiment}: path: scalar (incompatible configs)");
     }
     if let Some(summary) = run.sample_summary() {
         // Stdout on purpose: CI's sample-smoke step greps this line to
@@ -133,7 +122,15 @@ fn determinism_drift(params: RunParams) -> Option<String> {
         .collect();
     let probe = probe_params(params);
     let run = |threads: usize| {
-        let grid = run_grid_with_threads(&workloads, &configs, probe, threads, &|_, _, _, _| {});
+        let grid = run_grid_full(
+            &workloads,
+            &configs,
+            probe,
+            threads,
+            None,
+            None,
+            &|_, _, _, _| {},
+        );
         grid_manifest(
             "determinism",
             &workloads,
@@ -200,7 +197,7 @@ fn gate(params: RunParams) -> i32 {
 }
 
 /// `report sample-error <experiment>`: runs the experiment grid
-/// interval-sampled (spec from `WSRS_SAMPLE_*`, defaults otherwise) and
+/// interval-sampled with the default [`SampleSpec`] and
 /// compares every cell's IPC estimate against the committed **exact**
 /// baseline. The sampled manifest lands under `artifacts/` only — the
 /// `<experiment>-sampled` rename inside [`grid_manifest`] guarantees it
@@ -231,7 +228,7 @@ fn sample_error(experiment: &str, params: RunParams) -> i32 {
         );
         return 1;
     };
-    let spec = SampleSpec::from_env().unwrap_or_default();
+    let spec = SampleSpec::default();
     eprintln!(
         "{exp}: sampling {} interval(s) × {} µops, {} µops detailed warmup each",
         spec.intervals, spec.interval_uops, spec.detail_warmup
@@ -501,24 +498,6 @@ fn main() {
             };
             std::process::exit(watch(&job, &addr));
         }
-        Some("normalize") => {
-            // Print a manifest file's normalized form (environment fields
-            // neutralized) — lets shell steps compare runs for
-            // byte-identity, e.g. CI's skip-vs-no-skip A/B.
-            let Some(path) = args.get(2) else {
-                eprintln!("usage: report normalize <manifest.json>");
-                std::process::exit(2);
-            };
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            let Some(m) = RunManifest::parse(&text) else {
-                eprintln!("{path}: malformed manifest");
-                std::process::exit(1);
-            };
-            print!("{}", m.normalized_json_string());
-        }
         Some("check") => {
             // Parse-only sanity check of the committed baselines.
             let mut ok = true;
@@ -543,7 +522,7 @@ fn main() {
         }
         Some(other) => {
             eprintln!(
-                "usage: report [baseline|gate|check|normalize <file>|\
+                "usage: report [baseline|gate|check|\
                  sample-error <experiment>|submit <experiment>|watch <job>]  (got '{other}')"
             );
             std::process::exit(2);

@@ -779,17 +779,17 @@ impl TraceCache {
 /// grid, and use the hook only for progress output.
 pub type CellHook<'a> = &'a (dyn Fn(Workload, &str, &Report, Duration) + Sync);
 
-/// Worker count for [`run_grid`]: `WSRS_THREADS` if set, else
-/// `RAYON_NUM_THREADS` (honoured for familiarity), else the machine's
-/// available parallelism.
+/// Worker count for [`run_grid`]: `WSRS_THREADS` if set, else the
+/// machine's available parallelism.
 #[must_use]
 pub fn grid_threads() -> usize {
-    for key in ["WSRS_THREADS", "RAYON_NUM_THREADS"] {
-        if let Some(n) = std::env::var(key).ok().and_then(|v| v.parse().ok()) {
-            return 1.max(n);
-        }
+    match std::env::var("WSRS_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+    {
+        Some(n) => 1.max(n),
+        None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// The result of one grid run: the per-cell reports (indexed
@@ -994,14 +994,6 @@ pub enum WorkUnit {
     Scalar(usize),
 }
 
-/// Whether grid batching is enabled: on by default, `WSRS_BATCH=0`
-/// forces every cell down the scalar path (reports are bit-identical
-/// either way; the switch exists for A/B timing and debugging).
-#[must_use]
-pub fn batching_enabled() -> bool {
-    std::env::var("WSRS_BATCH").map_or(true, |v| v != "0")
-}
-
 /// A planned batch of cells with a single claim cursor — the queue type
 /// every executor shares: `run_grid_full` workers on bench binaries and
 /// `wsrs-serve`'s server-side worker pool claim [`WorkUnit`]s from the
@@ -1030,7 +1022,7 @@ impl CellQueue {
     ///
     /// Panics if cells disagree on the window.
     #[must_use]
-    pub fn plan(cells: Vec<CellJob>, batching: bool) -> CellQueue {
+    pub fn plan(cells: Vec<CellJob>) -> CellQueue {
         if let Some(first) = cells.first() {
             assert!(
                 cells.iter().all(|c| (c.params.warmup, c.params.measure)
@@ -1051,8 +1043,7 @@ impl CellQueue {
                 if c.workload != w {
                     continue;
                 }
-                if !batching
-                    || !c.batch_hint
+                if !c.batch_hint
                     || c.sample.is_some()
                     || !lockstep_compatible(std::slice::from_ref(&c.config))
                 {
@@ -1245,9 +1236,11 @@ pub fn default_trace_store() -> Option<TraceStore> {
 /// exactly one worker; because every unit simulates its (trace,
 /// configuration) pairs in isolation — and the lockstep path is
 /// bit-identical to scalar by construction — the returned grid is
-/// byte-identical for any worker count (including serial), for replayed
-/// vs freshly emulated traces, and for `WSRS_BATCH=0` (batching
-/// disabled) vs the default batched plan.
+/// byte-identical for any worker count (including serial) and for
+/// replayed vs freshly emulated traces.
+///
+/// `WSRS_SAMPLED=1` (or `true`/`on`) runs every single-thread cell
+/// interval-sampled with the default [`SampleSpec`] instead of exact.
 #[must_use]
 pub fn run_grid(
     workloads: &[Workload],
@@ -1255,33 +1248,17 @@ pub fn run_grid(
     params: RunParams,
     on_cell: CellHook<'_>,
 ) -> GridRun {
+    let sampled = std::env::var("WSRS_SAMPLED")
+        .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on"));
     run_grid_full(
         workloads,
         configs,
         params,
         grid_threads(),
         default_trace_store(),
-        SampleSpec::from_env(),
+        sampled.then(SampleSpec::default),
         on_cell,
     )
-}
-
-/// [`run_grid`] with an explicit worker count and no disk store — every
-/// trace is emulated in-process. Kept storeless so determinism tests can
-/// compare thread counts without touching the filesystem.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics, propagating the cell's panic.
-#[must_use]
-pub fn run_grid_with_threads(
-    workloads: &[Workload],
-    configs: &[(&str, SimConfig)],
-    params: RunParams,
-    threads: usize,
-    on_cell: CellHook<'_>,
-) -> GridRun {
-    run_grid_full(workloads, configs, params, threads, None, None, on_cell)
 }
 
 /// A finished cell's slot: the exact (or aggregate) report plus the
@@ -1322,7 +1299,7 @@ pub fn run_grid_full(
             })
         })
         .collect();
-    let queue = CellQueue::plan(jobs, batching_enabled());
+    let queue = CellQueue::plan(jobs);
     let batched_cells = queue.batched_cells();
     // Column batching is workload-independent: read it off the first row
     // (all-false when there are no rows).
@@ -1493,7 +1470,7 @@ mod tests {
     fn figure4_plans_as_one_lockstep_batch() {
         let params = RunParams::from_env();
         let configs = figure4_configs();
-        let queue = CellQueue::plan(row(Workload::Gzip, &configs, params), true);
+        let queue = CellQueue::plan(row(Workload::Gzip, &configs, params));
         assert_eq!(
             queue.units().len(),
             1,
@@ -1501,17 +1478,6 @@ mod tests {
         );
         assert_eq!(queue.units()[0], WorkUnit::Batch(vec![0, 1, 2, 3, 4, 5]));
         assert_eq!(queue.batched_cells(), vec![true; 6]);
-
-        let scalar = CellQueue::plan(row(Workload::Gzip, &configs, params), false);
-        assert_eq!(
-            scalar.units().len(),
-            configs.len(),
-            "batching off: one unit per cell"
-        );
-        assert!(scalar
-            .units()
-            .iter()
-            .all(|u| matches!(u, WorkUnit::Scalar(_))));
     }
 
     #[test]
@@ -1527,7 +1493,7 @@ mod tests {
             ("b", SimConfig::conventional_rr(512)),
             ("vp", vp),
         ];
-        let queue = CellQueue::plan(row(Workload::Gzip, &configs, params), true);
+        let queue = CellQueue::plan(row(Workload::Gzip, &configs, params));
         // smt and vp run scalar; a and b share a batch.
         assert_eq!(queue.units().len(), 3);
         let batched: Vec<_> = queue
@@ -1551,7 +1517,7 @@ mod tests {
         ];
         let mut cells = row(Workload::Gzip, &configs, params);
         cells.extend(row(Workload::Mcf, &configs, params));
-        let queue = CellQueue::plan(cells, true);
+        let queue = CellQueue::plan(cells);
         assert_eq!(
             queue.units(),
             &[WorkUnit::Batch(vec![0, 1]), WorkUnit::Batch(vec![2, 3])]
@@ -1570,7 +1536,7 @@ mod tests {
         ];
         let mut cells = row(Workload::Gzip, &configs, params);
         cells[1].batch_hint = false;
-        let queue = CellQueue::plan(cells, true);
+        let queue = CellQueue::plan(cells);
         assert_eq!(
             queue.units(),
             &[WorkUnit::Scalar(1), WorkUnit::Scalar(0)],

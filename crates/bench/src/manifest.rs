@@ -57,11 +57,7 @@ pub fn telemetry_on(cfg: &SimConfig) -> SimConfig {
 /// `batched` records whether the cell ran on the lockstep batch path,
 /// `sample` the interval-sampling outcome (`None` for an exact run — the
 /// key is then omitted from the JSON entirely, keeping exact baselines
-/// byte-identical to the pre-sampling schema). The `skip` provenance flag
-/// is derived here: the engine skips dead cycles exactly when the process
-/// allows it ([`wsrs_core::skip_enabled`], i.e. `WSRS_NO_SKIP` unset) and
-/// the configuration runs the event scheduler (no virtual-physical
-/// registers, which stay on the scan path).
+/// byte-identical to the pre-sampling schema).
 #[must_use]
 pub fn cell_record(
     w: Workload,
@@ -91,7 +87,6 @@ pub fn cell_record(
         l2_miss_rate: r.memory.l2.miss_rate(),
         store_forwards: r.store_forwards,
         batched,
-        skip: wsrs_core::skip_enabled() && cfg.vp_phys_per_subset.is_none(),
         sampled: sample.map(SampleOutcome::to_cell),
         attribution: r.attribution.clone(),
     }
@@ -202,7 +197,7 @@ pub fn write_manifest(m: &RunManifest, dir: &Path) -> std::io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_grid_with_threads;
+    use crate::run_grid_full;
 
     #[test]
     fn repo_root_holds_workspace_manifest() {
@@ -221,7 +216,15 @@ mod tests {
             warmup: 5_000,
             measure: 10_000,
         };
-        let run = run_grid_with_threads(&workloads, &configs, params, 1, &|_, _, _, _| {});
+        let run = run_grid_full(
+            &workloads,
+            &configs,
+            params,
+            1,
+            None,
+            None,
+            &|_, _, _, _| {},
+        );
         let m = grid_manifest(
             "unit",
             &workloads,
@@ -240,15 +243,8 @@ mod tests {
         assert!(m.cells.iter().all(|c| c.sampled.is_none()));
         assert_eq!(m.cells.len(), 2);
         // Two sibling single-threaded configs share one lockstep batch,
-        // and the manifest records that provenance per cell. Both ran
-        // the event scheduler, so (WSRS_NO_SKIP unset in tests) the
-        // skip provenance flag is recorded too.
+        // and the manifest records that provenance per cell.
         assert!(m.cells.iter().all(|c| c.batched));
-        assert_eq!(
-            m.cells.iter().all(|c| c.skip),
-            wsrs_core::skip_enabled(),
-            "skip provenance must track the process-wide flag"
-        );
         assert!(m.cells[0].attribution.is_none());
         let attr = m.cells[1].attribution.as_ref().expect("telemetry on");
         assert!(attr.conserved());

@@ -62,26 +62,17 @@ pub fn smt_params() -> RunParams {
     }
 }
 
-/// The regression gate's window: [`GATE_WARMUP`] + [`GATE_MEASURE`],
-/// overridable with `WSRS_GATE_WARMUP` / `WSRS_GATE_MEASURE` (the gate
-/// refuses to compare manifests with mismatched windows).
+/// The regression gate's window: [`GATE_WARMUP`] + [`GATE_MEASURE`].
 #[must_use]
-pub fn gate_params() -> RunParams {
-    let get = |k: &str, d: u64| {
-        std::env::var(k)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(d)
-    };
+pub const fn gate_params() -> RunParams {
     RunParams {
-        warmup: get("WSRS_GATE_WARMUP", GATE_WARMUP),
-        measure: get("WSRS_GATE_MEASURE", GATE_MEASURE),
+        warmup: GATE_WARMUP,
+        measure: GATE_MEASURE,
     }
 }
 
 /// The gate's determinism-probe window: the gate window capped at
-/// [`PROBE_WARMUP_CAP`] + [`PROBE_MEASURE_CAP`], so the probe stays cheap
-/// even under paper-scale `WSRS_GATE_*` overrides.
+/// [`PROBE_WARMUP_CAP`] + [`PROBE_MEASURE_CAP`], so the probe stays cheap.
 #[must_use]
 pub fn probe_params(gate: RunParams) -> RunParams {
     RunParams {

@@ -33,31 +33,13 @@ const A_COND: u8 = 1 << 0;
 /// Per-µop annotation flag: the family predictor mispredicted it.
 const A_MISP: u8 = 1 << 1;
 
-/// Default sweep block, in cycles per lane per round-robin turn. Sized so
-/// a lane's working set (SoA ROB, wheel, rename state) stays hot in cache
+/// Sweep block, in cycles per lane per round-robin turn. Sized so a
+/// lane's working set (SoA ROB, wheel, rename state) stays hot in cache
 /// for its whole slice instead of being evicted by its siblings every
 /// cycle, while lanes still walk the same region of the shared annotated
-/// trace within a sweep or two of each other.
-const DEFAULT_STRIDE: u32 = 8192;
-
-/// Environment variable overriding the lockstep sweep block
-/// ([`batch_stride`]). Reports are stride-invariant — lanes share nothing
-/// mutable — so this is a pure cache-tuning knob.
-pub const BATCH_STRIDE_ENV: &str = "WSRS_BATCH_STRIDE";
-
-/// The lockstep sweep block for this process: `WSRS_BATCH_STRIDE` when
-/// set to a positive integer (clamped to at least 1), 8192 otherwise.
-/// Read once per process.
-#[must_use]
-pub fn batch_stride() -> u32 {
-    static STRIDE: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *STRIDE.get_or_init(|| {
-        std::env::var(BATCH_STRIDE_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .map_or(DEFAULT_STRIDE, |v| v.max(1))
-    })
-}
+/// trace within a sweep or two of each other. Reports do not depend on
+/// it: lanes share nothing mutable.
+const STRIDE: u32 = 8192;
 
 /// Whether `configs` can share one lockstep batch: every lane
 /// single-threaded (SMT interleaves traces per-machine), no
@@ -137,28 +119,6 @@ pub fn run_lockstep(
     warmup: u64,
     measure: u64,
 ) -> Vec<Report> {
-    run_lockstep_with_stride(configs, trace, warmup, measure, batch_stride())
-}
-
-/// [`run_lockstep`] with an explicit sweep block instead of the
-/// process-wide [`batch_stride`]. Reports are stride-invariant for any
-/// `stride ≥ 1` (enforced by the `stride_invariance` test): the knob only
-/// changes which lane's cycles are simulated when, never what any lane
-/// observes.
-///
-/// # Panics
-///
-/// Panics if `stride` is zero, if `configs` is empty or not
-/// [`lockstep_compatible`], or if any configuration is invalid.
-#[must_use]
-pub fn run_lockstep_with_stride(
-    configs: &[SimConfig],
-    trace: &[DynInst],
-    warmup: u64,
-    measure: u64,
-    stride: u32,
-) -> Vec<Report> {
-    assert!(stride > 0, "lockstep sweep block must be nonzero");
     assert!(
         lockstep_compatible(configs),
         "configs cannot share a lockstep batch"
@@ -197,7 +157,7 @@ pub fn run_lockstep_with_stride(
             if !*live {
                 continue;
             }
-            for _ in 0..stride {
+            for _ in 0..STRIDE {
                 if !engine.step(stream) {
                     *live = false;
                     active -= 1;
@@ -279,40 +239,6 @@ mod tests {
         let batched = run_lockstep(&[cfg], &trace, 0, trace.len() as u64);
         let scalar = Simulator::new(cfg).run(trace.iter().copied());
         assert_eq!(format!("{:?}", batched[0]), format!("{scalar:?}"));
-    }
-
-    /// The sweep block is a pure cache-tuning knob: every lane's report
-    /// must be byte-identical at any stride, including a 1-cycle
-    /// interleave and a stride beyond the whole run.
-    #[test]
-    fn stride_invariance() {
-        let trace = trace();
-        let configs = family();
-        let measure = trace.len() as u64 - 500;
-        let baseline: Vec<String> = run_lockstep_with_stride(&configs, &trace, 500, measure, 8192)
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect();
-        for stride in [1, 7, 1024, u32::MAX] {
-            let got: Vec<String> = run_lockstep_with_stride(&configs, &trace, 500, measure, stride)
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            assert_eq!(got, baseline, "stride {stride} perturbed a lane");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "sweep block must be nonzero")]
-    fn zero_stride_rejected() {
-        let trace = trace();
-        let _ = run_lockstep_with_stride(
-            &[SimConfig::conventional_rr(256)],
-            &trace,
-            0,
-            trace.len() as u64,
-            0,
-        );
     }
 
     #[test]

@@ -54,12 +54,16 @@ pub mod wheel;
 
 /// Timing-model revision tag. Bump whenever a change can alter any
 /// `Report` field for some (config, trace) cell — new timing semantics,
-/// bucket accounting, policy RNG usage — so persistently memoized cell
-/// results ([`sim_revision`] is one third of `wsrs-serve`'s memo key) are
-/// invalidated instead of silently replayed. Pure restructurings that are
-/// proven bit-identical (event scheduler, lockstep batching) do NOT bump
-/// it.
-pub const SIM_REVISION_TAG: &str = "wsrs-sim-v1";
+/// bucket accounting, policy RNG usage — or the bytes of the cell line
+/// `wsrs-serve` memoizes for it (a field added to or removed from the
+/// cell record), so persistently memoized cell results ([`sim_revision`]
+/// is one component of `wsrs-serve`'s memo key) are invalidated instead
+/// of replaying bytes a fresh run no longer emits. Pure restructurings
+/// that are proven bit-identical (event scheduler, lockstep batching) do
+/// NOT bump it.
+///
+/// v2: cell lines no longer carry the `skip` provenance flag.
+pub const SIM_REVISION_TAG: &str = "wsrs-sim-v2";
 
 /// FNV-1a digest of [`SIM_REVISION_TAG`] — the simulator-revision
 /// component of content-addressed cell-result keys.
@@ -68,33 +72,15 @@ pub fn sim_revision() -> u64 {
     wsrs_isa::fnv1a_64(SIM_REVISION_TAG.as_bytes())
 }
 
-/// Environment variable that, when set (`1`/`true`), forces the
-/// cycle-by-cycle loop — disabling event-horizon cycle skipping — for
-/// A/B wall-clock comparisons. Read once per process.
-pub const NO_SKIP_ENV: &str = "WSRS_NO_SKIP";
-
-/// Whether event-horizon cycle skipping is enabled for this process
-/// (default yes; `WSRS_NO_SKIP=1` disables it). Skipping is a pure
-/// wall-clock optimization — every `Report` is bit-identical either way,
-/// enforced by the scan-oracle differential tests — so the flag exists
-/// only for timing A/Bs and for exercising the cycle-exact path in CI.
-#[must_use]
-pub fn skip_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        !std::env::var(NO_SKIP_ENV).is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-    })
-}
-
 pub use alloc::{AllocPolicy, ClusterChoice};
-pub use batch::{batch_stride, lockstep_compatible, run_lockstep, run_lockstep_with_stride};
+pub use batch::{lockstep_compatible, run_lockstep};
 pub use cluster::{ClusterId, FuKind, Resources};
 pub use config::{FastForward, RegCache, RegFileMode, SimConfig, SimConfigBuilder};
 pub use metrics::{Report, UnbalanceTracker};
 pub use pipeview::UopTiming;
 pub use sample::{
     run_sampled, warm_state_key, NoSampleStore, SampleCheckpoint, SampleSpec, SampleStore,
-    SampledReport, SAMPLED_ENV,
+    SampledReport,
 };
 pub use sim::Simulator;
 pub use wheel::CalendarWheel;

@@ -66,15 +66,6 @@ use crate::config::{RegFileMode, SimConfig};
 use crate::metrics::Report;
 use crate::sim::{predict_uop, Engine, PredictedIters};
 
-/// Environment variable enabling sampled grid execution (`1`/`true`/`on`).
-pub const SAMPLED_ENV: &str = "WSRS_SAMPLED";
-/// Environment variable overriding [`SampleSpec::intervals`].
-pub const SAMPLE_INTERVALS_ENV: &str = "WSRS_SAMPLE_INTERVALS";
-/// Environment variable overriding [`SampleSpec::interval_uops`].
-pub const SAMPLE_UOPS_ENV: &str = "WSRS_SAMPLE_INTERVAL_UOPS";
-/// Environment variable overriding [`SampleSpec::detail_warmup`].
-pub const SAMPLE_WARMUP_ENV: &str = "WSRS_SAMPLE_DETAIL_WARMUP";
-
 /// The sampling plan: how many intervals, how long, and how much detailed
 /// warmup precedes each. Interval *placement* is a pure function of this
 /// spec and the trace window (seed-free, evenly spaced), so the spec's
@@ -137,33 +128,6 @@ impl SampleSpec {
         h.write_u64(self.detail_warmup);
         h.finish()
     }
-
-    /// Resolves the sampled mode from the environment: `None` unless
-    /// [`SAMPLED_ENV`] is truthy, otherwise the default spec with any
-    /// per-field overrides applied.
-    #[must_use]
-    pub fn from_env() -> Option<SampleSpec> {
-        let on = std::env::var(SAMPLED_ENV)
-            .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on"));
-        if !on {
-            return None;
-        }
-        let mut spec = SampleSpec::default();
-        if let Some(v) = env_u64(SAMPLE_INTERVALS_ENV) {
-            spec.intervals = v.clamp(1, 10_000) as u32;
-        }
-        if let Some(v) = env_u64(SAMPLE_UOPS_ENV) {
-            spec.interval_uops = v.max(1);
-        }
-        if let Some(v) = env_u64(SAMPLE_WARMUP_ENV) {
-            spec.detail_warmup = v.max(1);
-        }
-        Some(spec)
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// The warm-state key: a content hash of exactly the configuration facets

@@ -248,10 +248,9 @@ impl Simulator {
     }
 
     /// Like [`Simulator::run_measured`], but forcing the cycle-by-cycle
-    /// loop even when event-horizon skipping is enabled for the process —
-    /// the in-process half of a skip-vs-no-skip timing A/B (the
-    /// [`crate::NO_SKIP_ENV`] switch does the same for a whole process).
-    /// Bit-identical to [`Simulator::run_measured`] by construction.
+    /// loop instead of event-horizon skipping — the oracle and timing
+    /// baseline for skipping. Bit-identical to
+    /// [`Simulator::run_measured`] by construction.
     pub fn run_measured_no_skip(
         &self,
         trace: impl IntoIterator<Item = DynInst>,
@@ -383,8 +382,8 @@ pub(crate) struct Engine<'a> {
     /// pointer writes, never an allocation.
     wheel: CalendarWheel,
     /// Whether the event-horizon fast path may jump the clock over provably
-    /// dead cycles ([`crate::skip_enabled`], frozen per process; cleared by
-    /// [`Simulator::run_measured_no_skip`] for in-process A/B timing).
+    /// dead cycles (always, except under
+    /// [`Simulator::run_measured_no_skip`], the cycle-by-cycle oracle).
     allow_skip: bool,
     /// Cycles the event-horizon fast path jumped over without simulating.
     /// Diagnostics only — deliberately not part of any [`Report`], which
@@ -485,7 +484,7 @@ impl<'a> Engine<'a> {
             vp,
             vp_blocked: (u64::MAX, 0),
             wheel: CalendarWheel::new(cfg.scheduler_horizon()),
-            allow_skip: crate::skip_enabled(),
+            allow_skip: true,
             skipped_cycles: 0,
             force_scan: false,
             trace_done: vec![false; cfg.threads],
@@ -2783,7 +2782,7 @@ mod tests {
         let prog = a.assemble();
         let run = |allow_skip: bool| {
             let mut e = Engine::new(&cfg);
-            e.allow_skip = allow_skip; // independent of the process env
+            e.allow_skip = allow_skip;
             let mut stream = PredictedIters::new(
                 vec![Emulator::new(prog.clone(), 1 << 20)],
                 cfg.predictor.build(),
@@ -2839,7 +2838,6 @@ mod tests {
         let prog = a.assemble();
         let run = |force_scan: bool| {
             let mut e = Engine::new(&cfg);
-            e.allow_skip = true; // independent of the process env
             e.force_scan = force_scan;
             e.timeline = Some((Vec::new(), usize::MAX));
             let mut stream = PredictedIters::new(

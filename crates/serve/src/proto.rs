@@ -40,8 +40,8 @@ pub struct JobSpec {
 /// # Errors
 ///
 /// Returns a human-readable message for malformed JSON, unknown
-/// experiment/workload/config names, an empty cell list, or cells that
-/// disagree on the window.
+/// experiment/workload/config names, an empty cell list, cells that
+/// disagree on the window, or a sample spec with a zero field.
 pub fn parse_submission(body: &str, registry: &[(String, SimConfig)]) -> Result<JobSpec, String> {
     let v = Json::parse(body).map_err(|e| format!("malformed JSON body: {e:?}"))?;
 
@@ -95,6 +95,14 @@ pub fn parse_submission(body: &str, registry: &[(String, SimConfig)]) -> Result<
                  a job holds one window; submit separate jobs",
                 cell.params.warmup, cell.params.measure, params.warmup, params.measure
             ));
+        }
+        if let Some(s) = &cell.sample {
+            if s.intervals == 0 || s.interval_uops == 0 || s.detail_warmup == 0 {
+                return Err(format!(
+                    "cell {i}: sample intervals, interval_uops and detail_warmup \
+                     must all be positive"
+                ));
+            }
         }
         cells.push(cell);
     }
@@ -207,6 +215,31 @@ mod tests {
              {\"workload\": \"gzip\", \"config\": \"RR 256\", \"warmup\": 9}]}",
         ] {
             assert!(parse_submission(bad, &registry).is_err(), "{bad}");
+        }
+    }
+
+    /// A zero in any sample field would trip `SampleSpec::validate` inside
+    /// a worker thread; the parser turns it away up front instead.
+    #[test]
+    fn zero_sample_fields_are_rejected() {
+        let registry = config_registry();
+        let body = |sample: &str| {
+            format!(
+                "{{\"cells\": [{{\"workload\": \"gzip\", \"config\": \"RR 256\", \
+                 \"sample\": {sample}}}]}}"
+            )
+        };
+        let ok = body("{\"intervals\": 4, \"interval_uops\": 500, \"detail_warmup\": 100}");
+        assert!(parse_submission(&ok, &registry).unwrap().cells[0]
+            .sample
+            .is_some());
+        for bad in [
+            "{\"intervals\": 0, \"interval_uops\": 500, \"detail_warmup\": 100}",
+            "{\"intervals\": 4, \"interval_uops\": 0, \"detail_warmup\": 100}",
+            "{\"intervals\": 4, \"interval_uops\": 500, \"detail_warmup\": 0}",
+        ] {
+            let bad = body(bad);
+            assert!(parse_submission(&bad, &registry).is_err(), "{bad}");
         }
     }
 

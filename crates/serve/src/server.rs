@@ -36,7 +36,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use wsrs_bench::manifest::cell_record;
-use wsrs_bench::{batching_enabled, config_registry, CellQueue, CellResult, RunParams, TraceCache};
+use wsrs_bench::{config_registry, CellQueue, CellResult, RunParams, TraceCache};
 use wsrs_core::SimConfig;
 use wsrs_telemetry::Json;
 use wsrs_trace::{TraceFile, TraceKey, TraceStore};
@@ -295,7 +295,7 @@ impl ServerState {
         }
 
         if !to_sim.is_empty() {
-            let queue = CellQueue::plan(to_sim, batching_enabled());
+            let queue = CellQueue::plan(to_sim);
             let cache = TraceCache::evicting_per_workload(spec.params, queue.uses_per_workload())
                 .with_store(Some(self.store.clone()));
             let run = Arc::new(JobRun {

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use wsrs_bench::client;
-use wsrs_serve::{MemoKey, Server, ServerOptions};
+use wsrs_serve::{MemoKey, MemoStore, Server, ServerOptions};
 use wsrs_telemetry::Json;
 
 /// A tiny two-cell grid (distinct workloads, so two scalar units).
@@ -203,6 +203,8 @@ fn bad_submissions_and_unknown_jobs_are_rejected() {
         "{\"experiment\": \"nonesuch\"}",
         "{\"cells\": []}",
         "{\"cells\": [{\"workload\": \"gzip\", \"config\": \"nonesuch\"}]}",
+        "{\"cells\": [{\"workload\": \"gzip\", \"config\": \"RR 256\", \"sample\": \
+         {\"intervals\": 0, \"interval_uops\": 750, \"detail_warmup\": 1000}}]}",
     ] {
         let resp = client::post(&addr, "/v1/jobs", bad).unwrap();
         assert_eq!(resp.status, 400, "{bad}");
@@ -216,6 +218,81 @@ fn bad_submissions_and_unknown_jobs_are_rejected() {
 
     shutdown();
     server_thread.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&memo_dir);
+    let _ = std::fs::remove_dir_all(&trace_dir);
+}
+
+/// Cell lines carry no cycle-skipping provenance, and a memoized line
+/// replays byte-identically. An entry written by the previous simulator
+/// revision, whose lines still carried `"skip": true`, is never replayed
+/// and is pruned by the memo GC.
+#[test]
+fn cell_lines_carry_no_skip_flag_and_stale_revisions_miss() {
+    const CELL: &str = "{\"warmup\": 2000, \"measure\": 4000, \"cells\": [\
+        {\"workload\": \"gzip\", \"config\": \"RR 256\"}]}";
+    let memo_dir = temp_dir("memo-skip");
+    let trace_dir = temp_dir("traces-skip");
+    let opts = ServerOptions {
+        workers: 1,
+        paused: false,
+        memo_dir: memo_dir.clone(),
+        trace_dir: trace_dir.clone(),
+    };
+    let server = Server::bind("127.0.0.1:0", &opts).expect("bind");
+    let addr = server.addr().to_string();
+    let shutdown = server.shutdown_handle();
+    let server_thread = std::thread::spawn(move || server.run(1));
+
+    let first = submit(&addr, CELL);
+    wait_done(&addr, first);
+    let streamed = stream(&addr, first);
+    let line = streamed.lines().nth(1).expect("one cell line");
+    let v = Json::parse(line).expect("complete JSON line");
+    assert!(v.get("skip").is_none(), "{line}");
+    assert!(!line.contains("\"skip\""), "{line}");
+
+    // The entry a parent-revision server wrote for the same cell: same
+    // config and trace, the old revision, a `skip` key in the line.
+    let hex = |field: &str| {
+        u64::from_str_radix(v.get(field).and_then(Json::as_str).unwrap(), 16).unwrap()
+    };
+    let current = MemoKey {
+        config: hex("config_content_hash"),
+        trace: hex("trace_checksum"),
+        sim: wsrs_core::sim_revision(),
+        spec: 0,
+    };
+    let parent = MemoKey {
+        sim: wsrs_isa::fnv1a_64(b"wsrs-sim-v1"),
+        ..current
+    };
+    assert_ne!(parent.sim, current.sim);
+    let memo_line = std::fs::read_to_string(memo_dir.join(current.file_name())).unwrap();
+    assert!(!memo_line.contains("\"skip\""), "{memo_line}");
+    let stale = line.replacen("\"batched\":false", "\"batched\":false,\"skip\":true", 1);
+    assert_ne!(stale, line, "the cell line renders a batched flag");
+    std::fs::write(memo_dir.join(parent.file_name()), stale).unwrap();
+    std::fs::remove_file(memo_dir.join(current.file_name())).unwrap();
+
+    // Only the parent-revision entry exists: the cell simulates afresh.
+    let rerun = submit(&addr, CELL);
+    assert_eq!(status_field(&addr, rerun, "memoized"), 0);
+    assert_eq!(status_field(&addr, rerun, "simulated"), 1);
+    wait_done(&addr, rerun);
+    assert_eq!(stream(&addr, rerun), streamed);
+
+    // The fresh entry replays byte-identically.
+    let replay = submit(&addr, CELL);
+    assert_eq!(status_field(&addr, replay, "memoized"), 1);
+    wait_done(&addr, replay);
+    assert_eq!(stream(&addr, replay), streamed);
+
+    shutdown();
+    server_thread.join().expect("server thread");
+    let gc = MemoStore::at(&memo_dir)
+        .gc(wsrs_core::sim_revision(), false)
+        .unwrap();
+    assert_eq!((gc.kept, gc.stale, gc.malformed), (1, 1, 0));
     let _ = std::fs::remove_dir_all(&memo_dir);
     let _ = std::fs::remove_dir_all(&trace_dir);
 }

@@ -144,13 +144,6 @@ pub struct CellRecord {
     /// (execution provenance; the results are bit-identical to scalar).
     /// Absent in pre-batching manifests, which parse as `false`.
     pub batched: bool,
-    /// Whether the engine ran with event-horizon cycle skipping
-    /// (execution provenance; skipping is proven bit-identical to the
-    /// cycle-by-cycle path, so this never affects a result field). Absent
-    /// in pre-skipping manifests, which parse as `false`. Neutralized by
-    /// [`RunManifest::normalized_json_string`] — a `WSRS_NO_SKIP=1` run
-    /// must normalize byte-identically to the default run.
-    pub skip: bool,
     /// Present exactly when the cell ran on the interval-sampled path:
     /// the IPC estimate and error bound. Exact cells carry no key, so
     /// pre-sampling manifests and exact baselines are byte-unchanged.
@@ -168,15 +161,16 @@ pub struct CellRecord {
 /// | `batched`             | lockstep batching         | `false`             |
 /// | `config_content_hash` | content-addressed memoing | `""`                |
 /// | `sampled`             | interval sampling         | `None` (exact cell) |
-/// | `skip`                | event-horizon skipping    | `false`             |
+///
+/// Unknown keys are ignored, so the retired `skip` flag of older
+/// documents parses away.
 ///
 /// Every future optional cell field belongs here, not ad hoc in
 /// [`CellRecord::from_json`], so tolerance rules stay reviewable in one
 /// table.
-fn optional_cell_fields(v: &Json) -> (bool, bool, String, Option<SampledCell>) {
+fn optional_cell_fields(v: &Json) -> (bool, String, Option<SampledCell>) {
     (
         v.get("batched").and_then(Json::as_bool).unwrap_or(false),
-        v.get("skip").and_then(Json::as_bool).unwrap_or(false),
         v.get("config_content_hash")
             .and_then(Json::as_str)
             .unwrap_or_default()
@@ -222,7 +216,6 @@ impl CellRecord {
             ("l2_miss_rate".into(), Json::Float(self.l2_miss_rate)),
             ("store_forwards".into(), Json::UInt(self.store_forwards)),
             ("batched".into(), Json::Bool(self.batched)),
-            ("skip".into(), Json::Bool(self.skip)),
         ];
         if let Some(s) = &self.sampled {
             fields.push(("sampled".into(), s.to_json()));
@@ -235,7 +228,7 @@ impl CellRecord {
 
     #[must_use]
     pub fn from_json(v: &Json) -> Option<CellRecord> {
-        let (batched, skip, config_content_hash, sampled) = optional_cell_fields(v);
+        let (batched, config_content_hash, sampled) = optional_cell_fields(v);
         Some(CellRecord {
             workload: v.get("workload")?.as_str()?.to_string(),
             config: v.get("config")?.as_str()?.to_string(),
@@ -261,7 +254,6 @@ impl CellRecord {
             l2_miss_rate: v.get("l2_miss_rate")?.as_f64()?,
             store_forwards: v.get("store_forwards")?.as_u64()?,
             batched,
-            skip,
             sampled,
             attribution: v.get("attribution").and_then(CycleAttribution::from_json),
         })
@@ -459,11 +451,11 @@ impl RunManifest {
     }
 
     /// The on-disk form with the environment fields (`workers`,
-    /// `wall_secs`, `git_rev`, trace-cache counters, trace origins, the
-    /// per-cell `skip` path flag) neutralized. Two runs of the same code
-    /// on the same inputs must produce byte-identical normalized strings
-    /// for any `WSRS_THREADS`, any trace-store warmth, and either setting
-    /// of `WSRS_NO_SKIP` — this is what the determinism checks compare.
+    /// `wall_secs`, `git_rev`, trace-cache counters, trace origins)
+    /// neutralized. Two runs of the same code on the same inputs must
+    /// produce byte-identical normalized strings for any `WSRS_THREADS`
+    /// and any trace-store warmth — this is what the determinism checks
+    /// compare.
     /// Trace `checksum`s are content, not environment, and are
     /// deliberately kept: a warm (replayed) run normalizes identically to
     /// the cold run that recorded it exactly when the trace bytes match.
@@ -477,9 +469,6 @@ impl RunManifest {
         for t in &mut m.traces {
             t.origin = String::new();
             t.bytes = 0;
-        }
-        for c in &mut m.cells {
-            c.skip = false;
         }
         m.to_json_string()
     }
@@ -668,7 +657,6 @@ mod tests {
             l2_miss_rate: 0.01,
             store_forwards: 7,
             batched: false,
-            skip: false,
             sampled: None,
             attribution: None,
         }
@@ -772,32 +760,6 @@ mod tests {
         assert!(!legacy.batched);
         // Pre-content-addressing manifests parse with an empty hash.
         assert!(legacy.config_content_hash.is_empty());
-    }
-
-    #[test]
-    fn skip_flag_roundtrips_defaults_false_and_normalizes_away() {
-        let mut c = cell("gcc", "rr", 2.0);
-        c.skip = true;
-        let round = CellRecord::from_json(&c.to_json()).unwrap();
-        assert!(round.skip);
-        // Pre-skipping manifests carry no "skip" key; they parse as
-        // cycle-exact cells rather than failing.
-        let Json::Obj(fields) = c.to_json() else {
-            panic!("cell renders as an object");
-        };
-        let stripped = Json::Obj(fields.into_iter().filter(|(k, _)| k != "skip").collect());
-        assert!(!CellRecord::from_json(&stripped).unwrap().skip);
-        // The flag is execution provenance: a skipping run and a
-        // WSRS_NO_SKIP=1 run of the same code must normalize
-        // byte-identically.
-        let skipping = manifest(vec![c]);
-        let mut exact = skipping.clone();
-        exact.cells[0].skip = false;
-        assert_ne!(skipping.to_json_string(), exact.to_json_string());
-        assert_eq!(
-            skipping.normalized_json_string(),
-            exact.normalized_json_string()
-        );
     }
 
     #[test]

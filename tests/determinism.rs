@@ -74,7 +74,7 @@ fn grid_family() -> [(&'static str, SimConfig); 3] {
 /// leave every report byte-identical to the serial run.
 #[test]
 fn parallel_grid_matches_serial_byte_for_byte() {
-    use wsrs_bench::{run_grid_with_threads, RunParams};
+    use wsrs_bench::{run_grid_full, RunParams};
 
     let workloads = [Workload::Gzip, Workload::Wupwise];
     let configs = grid_family();
@@ -82,8 +82,18 @@ fn parallel_grid_matches_serial_byte_for_byte() {
         warmup: 20_000,
         measure: 40_000,
     };
-    let serial = run_grid_with_threads(&workloads, &configs, params, 1, &|_, _, _, _| {});
-    let parallel = run_grid_with_threads(&workloads, &configs, params, 4, &|_, _, _, _| {});
+    let grid = |threads| {
+        run_grid_full(
+            &workloads,
+            &configs,
+            params,
+            threads,
+            None,
+            None,
+            &|_, _, _, _| {},
+        )
+    };
+    let (serial, parallel) = (grid(1), grid(4));
     assert_eq!(serial.reports.len(), 2);
     assert_eq!(parallel.reports[0].len(), 3);
     assert_eq!(
@@ -104,7 +114,7 @@ fn parallel_grid_matches_serial_byte_for_byte() {
 /// simulation of the same cached traces does.
 #[test]
 fn batched_grid_matches_scalar_cells_byte_for_byte() {
-    use wsrs_bench::{run_cell_cached, run_grid_with_threads, RunParams, TraceCache};
+    use wsrs_bench::{run_cell_cached, run_grid_full, RunParams, TraceCache};
 
     let workloads = [Workload::Gzip, Workload::Wupwise];
     let configs = grid_family();
@@ -114,7 +124,15 @@ fn batched_grid_matches_scalar_cells_byte_for_byte() {
     };
     let cache = TraceCache::new(params);
     for threads in [1, 3] {
-        let run = run_grid_with_threads(&workloads, &configs, params, threads, &|_, _, _, _| {});
+        let run = run_grid_full(
+            &workloads,
+            &configs,
+            params,
+            threads,
+            None,
+            None,
+            &|_, _, _, _| {},
+        );
         assert!(
             run.batched.iter().all(|&b| b),
             "the family shares one predictor and no VP/SMT, so it batches"

@@ -79,8 +79,7 @@ proptest! {
         let warmup = warmup_frac * len as u64 / 8;
         let measure = len as u64 - warmup;
         let sim = Simulator::new(cfg);
-        // Default path: event scheduler with cycle skipping (WSRS_NO_SKIP
-        // is unset under the test harness).
+        // Default path: event scheduler with cycle skipping.
         let event = sim.run_measured(trace.iter().copied(), warmup, measure);
         let no_skip = sim.run_measured_no_skip(trace.iter().copied(), warmup, measure);
         let oracle = sim.run_measured_scan_oracle(trace.iter().copied(), warmup, measure);

@@ -122,7 +122,7 @@ proptest! {
 #[test]
 fn manifests_are_worker_count_invariant() {
     use wsrs_bench::manifest::{grid_manifest, telemetry_on};
-    use wsrs_bench::{run_grid_with_threads, RunParams};
+    use wsrs_bench::{run_grid_full, RunParams};
 
     let workloads = [Workload::Gzip, Workload::Wupwise];
     let configs = [
@@ -141,7 +141,15 @@ fn manifests_are_worker_count_invariant() {
         measure: 40_000,
     };
     let manifest = |threads: usize| {
-        let grid = run_grid_with_threads(&workloads, &configs, params, threads, &|_, _, _, _| {});
+        let grid = run_grid_full(
+            &workloads,
+            &configs,
+            params,
+            threads,
+            None,
+            None,
+            &|_, _, _, _| {},
+        );
         grid_manifest(
             "prop",
             &workloads,
