@@ -60,6 +60,7 @@ pub mod mem;
 pub mod op;
 pub mod program;
 pub mod reg;
+pub mod source;
 
 pub use asm::Assembler;
 pub use dyninst::DynInst;
@@ -70,3 +71,4 @@ pub use mem::Memory;
 pub use op::{Arity, OpClass, Opcode};
 pub use program::{Label, Program};
 pub use reg::{Freg, Reg, RegClass, RegRef};
+pub use source::{SliceCursor, UopCursor, UopSource};

@@ -132,12 +132,15 @@ impl TraceStore {
         self.dir.join(key.file_name())
     }
 
-    /// Loads and fully validates the trace stored under `key`.
+    /// Opens and validates the trace stored under `key` without decoding
+    /// its payload.
     ///
-    /// Beyond the file's own integrity checksum, the header is
-    /// cross-checked against the key, so a renamed or colliding file
-    /// cannot masquerade as the wrong trace.
-    pub fn load(&self, key: &TraceKey) -> Result<LoadedTrace, TraceError> {
+    /// Beyond the file's own integrity checksum (checked first), the
+    /// header is cross-checked against the key, so a renamed or colliding
+    /// file cannot masquerade as the wrong trace, and the record count
+    /// must fit the declared window. Stream the µops with
+    /// [`TraceFile::uops_from`], or decode them all with [`TraceStore::load`].
+    pub fn open(&self, key: &TraceKey) -> Result<TraceFile, TraceError> {
         let file = TraceFile::open(&self.path_for(key))?;
         let h = file.header();
         validate(key, h)?;
@@ -149,6 +152,13 @@ impl TraceStore {
                 h.uop_count, h.warmup, h.measure
             )));
         }
+        Ok(file)
+    }
+
+    /// Opens the trace stored under `key` ([`TraceStore::open`]) and
+    /// decodes all of it.
+    pub fn load(&self, key: &TraceKey) -> Result<LoadedTrace, TraceError> {
+        let file = self.open(key)?;
         Ok(LoadedTrace {
             checksum: file.checksum(),
             bytes: file.size_bytes(),
@@ -291,6 +301,9 @@ mod tests {
         assert_eq!(loaded.uops, us);
         assert_eq!(loaded.checksum, saved.checksum);
         assert_eq!(loaded.bytes, saved.bytes);
+        let opened = store.open(&k).expect("open");
+        assert_eq!(opened.checksum(), saved.checksum);
+        assert_eq!(opened.uops_from(0).collect::<Vec<_>>(), us);
         assert_eq!(store.entries().unwrap(), vec![saved.path]);
         let _ = std::fs::remove_dir_all(store.dir());
     }
@@ -313,6 +326,10 @@ mod tests {
         let mut other = k.clone();
         other.rev ^= 1;
         std::fs::rename(store.path_for(&k), store.path_for(&other)).unwrap();
+        assert!(matches!(
+            store.open(&other),
+            Err(TraceError::KeyMismatch { field: "rev", .. })
+        ));
         match store.load(&other) {
             Err(TraceError::KeyMismatch { field: "rev", .. }) => {}
             other => panic!("expected rev mismatch, got {other:?}"),
