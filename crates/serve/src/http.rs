@@ -9,6 +9,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Upper bound on accepted request bodies (whole-grid submissions are a
 /// few KiB; anything larger is malformed or hostile).
@@ -33,11 +34,15 @@ impl Request {
     }
 }
 
-/// Reads and parses one request off `stream`. `None` on a connection
-/// closed before a full request line, malformed framing, or an oversized
-/// body.
-pub fn read_request(stream: &TcpStream) -> Option<Request> {
-    let mut reader = BufReader::new(stream);
+/// Reads and parses one request off `stream`, which must arrive whole
+/// (head and body) `within` the given time. `None` on a connection closed
+/// before a full request line, malformed framing, an oversized body, or a
+/// request still incomplete at the deadline.
+pub fn read_request(stream: &TcpStream, within: Duration) -> Option<Request> {
+    let mut reader = BufReader::new(Deadline {
+        stream,
+        until: Instant::now() + within,
+    });
     let mut line = String::new();
     if reader.read_line(&mut line).ok()? == 0 {
         return None;
@@ -68,6 +73,26 @@ pub fn read_request(stream: &TcpStream) -> Option<Request> {
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).ok()?;
     Some(Request { method, path, body })
+}
+
+/// A socket reader with one deadline across all its reads: each read
+/// waits only for the time left, so a client trickling a byte at a time
+/// cannot stretch a request past it.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    until: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut s = self.stream;
+        s.read(buf)
+    }
 }
 
 /// Writes a fixed-length response; `status` is e.g. `"200 OK"`.
