@@ -21,7 +21,7 @@
 use wsrs_bench::manifest::{
     artifacts_dir, cell_record, repo_root, telemetry_on, trace_records, trace_stats, write_manifest,
 };
-use wsrs_bench::{grid_threads, render_grid, run_grid, RunParams, TraceProvenance};
+use wsrs_bench::{render_grid, run_grid, RunEnv, TraceProvenance};
 use wsrs_core::{AllocPolicy, FastForward, SimConfig};
 use wsrs_regfile::RenameStrategy;
 use wsrs_telemetry::manifest::{git_revision, SCHEMA_VERSION};
@@ -43,7 +43,7 @@ fn sweep(
     tag: &str,
     title: &str,
     configs: &[(&str, SimConfig)],
-    params: RunParams,
+    env: &RunEnv,
     cells: &mut Vec<CellRecord>,
     provenance: &mut TraceProvenance,
 ) {
@@ -56,7 +56,7 @@ fn sweep(
         .iter()
         .map(|(n, _)| n.split('/').nth(1).unwrap_or(n))
         .collect();
-    let run = run_grid(&SUBSET, &refs, params, &|_, _, _, _| {});
+    let run = run_grid(env, &SUBSET, &refs, &|_, _, _, _| {});
     provenance.absorb(run.provenance);
     for (wi, (w, reports)) in SUBSET.iter().zip(&run.reports).enumerate() {
         for (ci, ((name, cfg), r)) in refs.iter().zip(reports).enumerate() {
@@ -78,7 +78,7 @@ fn sweep(
 }
 
 fn main() {
-    let params = RunParams::from_env();
+    let env = RunEnv::from_env();
     let t0 = std::time::Instant::now();
     let mut cells = Vec::new();
     let cells = &mut cells;
@@ -106,7 +106,7 @@ fn main() {
                 SimConfig::wsrs(512, AllocPolicy::LoadBalance, RenameStrategy::ExactCount),
             ),
         ],
-        params,
+        &env,
         cells,
         prov,
     );
@@ -130,7 +130,7 @@ fn main() {
         "a2",
         "Ablation 2 — WSRS-RC physical register count (IPC)",
         &reg_refs,
-        params,
+        &env,
         cells,
         prov,
     );
@@ -164,7 +164,7 @@ fn main() {
                 ),
             ),
         ],
-        params,
+        &env,
         cells,
         prov,
     );
@@ -193,7 +193,7 @@ fn main() {
             ("wsrs pair", ff(FastForward::AdjacentPair)),
             ("wsrs full", ff(FastForward::Complete)),
         ],
-        params,
+        &env,
         cells,
         prov,
     );
@@ -218,7 +218,7 @@ fn main() {
             ("taken", pred(PredictorKind::AlwaysTaken)),
             ("perfect", pred(PredictorKind::Perfect)),
         ],
-        params,
+        &env,
         cells,
         prov,
     );
@@ -241,7 +241,7 @@ fn main() {
             ("56/224", win(56, 224)),
             ("112/448", win(112, 448)),
         ],
-        params,
+        &env,
         cells,
         prov,
     );
@@ -275,7 +275,7 @@ fn main() {
                 ),
             ),
         ],
-        params,
+        &env,
         cells,
         prov,
     );
@@ -284,9 +284,9 @@ fn main() {
         schema: SCHEMA_VERSION,
         experiment: "ablation".to_string(),
         git_rev: git_revision(&repo_root()),
-        warmup: params.warmup,
-        measure: params.measure,
-        workers: grid_threads() as u64,
+        warmup: env.params.warmup,
+        measure: env.params.measure,
+        workers: env.threads as u64,
         wall_secs: t0.elapsed().as_secs_f64(),
         cells: std::mem::take(cells),
         traces: trace_records(&provenance),

@@ -9,14 +9,14 @@
 //! more than 6 — so IPC-per-nJ and IPC-per-area jump accordingly.
 
 use wsrs_bench::manifest::{artifacts_dir, grid_manifest, telemetry_on, write_manifest};
-use wsrs_bench::{grid_threads, run_grid, RunParams};
+use wsrs_bench::{run_grid, RunEnv};
 use wsrs_complexity::{total_area_w2, CactiModel, RegFileOrg};
 use wsrs_core::{AllocPolicy, SimConfig};
 use wsrs_regfile::RenameStrategy;
 use wsrs_workloads::Workload;
 
 fn main() {
-    let params = RunParams::from_env();
+    let env = RunEnv::from_env();
     let model = CactiModel::paper();
 
     // (name, timing config, register-file organization)
@@ -50,7 +50,7 @@ fn main() {
         .collect();
     let workloads = Workload::all();
     let t0 = std::time::Instant::now();
-    let run = run_grid(&workloads, &configs, params, &|w, name, r, _| {
+    let run = run_grid(&env, &workloads, &configs, &|w, name, r, _| {
         eprintln!("  {:<8} {:<24} ipc {:>6.3}", w.name(), name, r.ipc());
     });
     let grid = &run.reports;
@@ -83,8 +83,8 @@ fn main() {
         "efficiency",
         &workloads,
         &configs,
-        params,
-        grid_threads(),
+        env.params,
+        env.threads,
         t0.elapsed().as_secs_f64(),
         grid,
         &run.batched,

@@ -8,14 +8,11 @@
 //! workload's trace emulated once and shared across configurations.
 
 use wsrs_bench::manifest::{artifacts_dir, grid_manifest, telemetry_on, write_manifest};
-use wsrs_bench::{
-    figure4_configs, grid_threads, maybe_write_csv, render_bars, render_csv, render_grid, run_grid,
-    RunParams,
-};
+use wsrs_bench::{figure4_configs, render_bars, render_csv, render_grid, run_grid, RunEnv};
 use wsrs_workloads::Workload;
 
 fn main() {
-    let params = RunParams::from_env();
+    let env = RunEnv::from_env();
     let configs: Vec<(&str, _)> = figure4_configs()
         .into_iter()
         .map(|(n, c)| (n, telemetry_on(&c)))
@@ -24,14 +21,14 @@ fn main() {
     let workloads = Workload::all();
     eprintln!(
         "figure4: warmup {} µops, measure {} µops per cell ({} cells, {} threads)",
-        params.warmup,
-        params.measure,
+        env.params.warmup,
+        env.params.measure,
         workloads.len() * configs.len(),
-        grid_threads()
+        env.threads
     );
 
     let t0 = std::time::Instant::now();
-    let run = run_grid(&workloads, &configs, params, &|w, name, r, elapsed| {
+    let run = run_grid(&env, &workloads, &configs, &|w, name, r, elapsed| {
         eprintln!(
             "  {:<8} {:<14} ipc {:>6.3}  mr {:>5.3}  unbal {:>5.1}%  ({elapsed:.1?})",
             w.name(),
@@ -85,9 +82,7 @@ fn main() {
 
     let mut all_rows = int_rows;
     all_rows.extend(fp_rows);
-    if let Some(path) = maybe_write_csv("figure4", &render_csv(&names, &all_rows)) {
-        eprintln!("wrote {}", path.display());
-    }
+    env.write_csv("figure4", &render_csv(&names, &all_rows));
 
     if let Some(summary) = run.sample_summary() {
         eprintln!("{summary}");
@@ -96,8 +91,8 @@ fn main() {
         "figure4",
         &workloads,
         &configs,
-        params,
-        grid_threads(),
+        env.params,
+        env.threads,
         t0.elapsed().as_secs_f64(),
         grid,
         &run.batched,

@@ -4,13 +4,13 @@
 //! or more than 40 of them).
 
 use wsrs_bench::manifest::{artifacts_dir, grid_manifest, telemetry_on, write_manifest};
-use wsrs_bench::{grid_threads, maybe_write_csv, render_csv, render_grid, run_grid, RunParams};
+use wsrs_bench::{render_csv, render_grid, run_grid, RunEnv};
 use wsrs_core::{AllocPolicy, SimConfig};
 use wsrs_regfile::RenameStrategy;
 use wsrs_workloads::Workload;
 
 fn main() {
-    let params = RunParams::from_env();
+    let env = RunEnv::from_env();
     let configs = [
         (
             "WSRS RC",
@@ -33,7 +33,7 @@ fn main() {
     let workloads = Workload::all();
 
     let t0 = std::time::Instant::now();
-    let run = run_grid(&workloads, &configs, params, &|w, name, r, _| {
+    let run = run_grid(&env, &workloads, &configs, &|w, name, r, _| {
         eprintln!(
             "  {:<8} {:<8} unbalancing {:>5.1}%",
             w.name(),
@@ -76,16 +76,14 @@ fn main() {
 
     let mut all_rows = int_rows;
     all_rows.extend(fp_rows);
-    if let Some(path) = maybe_write_csv("figure5", &render_csv(&names, &all_rows)) {
-        eprintln!("wrote {}", path.display());
-    }
+    env.write_csv("figure5", &render_csv(&names, &all_rows));
 
     let m = grid_manifest(
         "figure5",
         &workloads,
         &configs,
-        params,
-        grid_threads(),
+        env.params,
+        env.threads,
         t0.elapsed().as_secs_f64(),
         grid,
         &run.batched,

@@ -7,13 +7,13 @@
 //! with a static (opcode-determined, predecoded) allocation does not impair
 //! performance, while each register keeps only one pool's write ports.
 
-use wsrs_bench::{render_grid, run_grid, RunParams};
+use wsrs_bench::{render_grid, run_grid, RunEnv};
 use wsrs_core::SimConfig;
 use wsrs_regfile::RenameStrategy;
 use wsrs_workloads::Workload;
 
 fn main() {
-    let params = RunParams::from_env();
+    let env = RunEnv::from_env();
     let configs = [
         ("mono 256", SimConfig::monolithic(256)),
         (
@@ -28,7 +28,7 @@ fn main() {
     let names: Vec<&str> = configs.iter().map(|(n, _)| *n).collect();
     let workloads = Workload::all();
 
-    let grid = run_grid(&workloads, &configs, params, &|w, name, r, _| {
+    let grid = run_grid(&env, &workloads, &configs, &|w, name, r, _| {
         eprintln!(
             "  {:<8} {:<12} ipc {:>6.3}  rename stalls {}",
             w.name(),

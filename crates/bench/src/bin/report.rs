@@ -31,9 +31,7 @@ use wsrs_bench::manifest::{
     write_manifest,
 };
 use wsrs_bench::windows::{gate_params, probe_params};
-use wsrs_bench::{
-    default_trace_store, figure4_configs, gate_experiments, grid_threads, run_grid_full, RunParams,
-};
+use wsrs_bench::{figure4_configs, gate_experiments, run_grid, run_grid_full, RunEnv, RunParams};
 use wsrs_core::{SampleSpec, SimConfig};
 use wsrs_telemetry::{GateOutcome, Json, RunManifest, Tolerances};
 use wsrs_workloads::Workload;
@@ -41,37 +39,28 @@ use wsrs_workloads::Workload;
 /// Default `wsrs-serve` address for `submit`/`watch`.
 const DEFAULT_ADDR: &str = "127.0.0.1:8787";
 
-/// Runs one experiment grid and assembles its manifest. `sample` is
-/// `None` for the exact path (baselines, the gate); `Some` runs every
-/// cell interval-sampled — the manifest then carries the
+/// Runs one experiment grid on `env` and assembles its manifest.
+/// `env.sample` is `None` for the exact path (baselines, the gate); `Some`
+/// runs every cell interval-sampled — the manifest then carries the
 /// `<experiment>-sampled` name and a greppable `sampled:` summary line
 /// goes to stdout.
 fn run_experiment(
+    env: &RunEnv,
     experiment: &str,
     workloads: &[Workload],
     configs: &[(&str, SimConfig)],
-    params: RunParams,
-    threads: usize,
-    sample: Option<SampleSpec>,
 ) -> RunManifest {
     eprintln!(
-        "{experiment}: {} cells, {}+{} µops, {threads} worker(s)",
+        "{experiment}: {} cells, {}+{} µops, {} worker(s)",
         workloads.len() * configs.len(),
-        params.warmup,
-        params.measure,
+        env.params.warmup,
+        env.params.measure,
+        env.threads,
     );
     let t0 = Instant::now();
-    let run = run_grid_full(
-        workloads,
-        configs,
-        params,
-        threads,
-        default_trace_store(),
-        sample,
-        &|w, name, r, _| {
-            eprintln!("  {:<8} {:<14} ipc {:>6.3}", w.name(), name, r.ipc());
-        },
-    );
+    let run = run_grid(env, workloads, configs, &|w, name, r, _| {
+        eprintln!("  {:<8} {:<14} ipc {:>6.3}", w.name(), name, r.ipc());
+    });
     let lanes = run.batched.iter().filter(|&&b| b).count();
     if lanes > 0 {
         eprintln!(
@@ -91,8 +80,8 @@ fn run_experiment(
         experiment,
         workloads,
         configs,
-        params,
-        threads,
+        env.params,
+        env.threads,
         t0.elapsed().as_secs_f64(),
         &run.reports,
         &run.batched,
@@ -102,10 +91,9 @@ fn run_experiment(
 }
 
 /// Writes fresh baselines for every experiment at the repo root.
-fn write_baselines(params: RunParams) {
-    let threads = grid_threads();
+fn write_baselines(env: &RunEnv) {
     for (experiment, configs, workloads) in gate_experiments() {
-        let m = run_experiment(experiment, &workloads, &configs, params, threads, None);
+        let m = run_experiment(env, experiment, &workloads, &configs);
         let path = write_manifest(&m, &repo_root()).expect("write baseline");
         println!("wrote {}", path.display());
     }
@@ -154,13 +142,12 @@ fn determinism_drift(params: RunParams) -> Option<String> {
 
 /// Compares fresh runs against the committed baselines; returns the exit
 /// code.
-fn gate(params: RunParams) -> i32 {
-    let threads = grid_threads();
+fn gate(env: &RunEnv) -> i32 {
     let fresh_dir = artifacts_dir();
     let mut outcome = GateOutcome::default();
 
     for (experiment, configs, workloads) in gate_experiments() {
-        let fresh = run_experiment(experiment, &workloads, &configs, params, threads, None);
+        let fresh = run_experiment(env, experiment, &workloads, &configs);
         let path = write_manifest(&fresh, &fresh_dir).expect("write fresh manifest");
         eprintln!("wrote {}", path.display());
         match load_baseline(experiment) {
@@ -173,7 +160,7 @@ fn gate(params: RunParams) -> i32 {
     }
 
     eprintln!("determinism: re-running a 2x2 sub-grid with 1 and 3 workers");
-    if let Some(drift) = determinism_drift(params) {
+    if let Some(drift) = determinism_drift(env.params) {
         outcome.failures.push(drift);
     }
 
@@ -206,7 +193,7 @@ fn gate(params: RunParams) -> i32 {
 /// Pass/fail criteria (the EXPERIMENTS.md accuracy contract):
 /// * each cell: `|estimate − exact| ≤ max(3 × error_bound, 2% × exact)`,
 /// * overall: mean absolute relative error ≤ 2%.
-fn sample_error(experiment: &str, params: RunParams) -> i32 {
+fn sample_error(env: &RunEnv, experiment: &str) -> i32 {
     let Some((exp, configs, workloads)) = gate_experiments()
         .into_iter()
         .find(|(e, _, _)| *e == experiment)
@@ -233,14 +220,11 @@ fn sample_error(experiment: &str, params: RunParams) -> i32 {
         "{exp}: sampling {} interval(s) × {} µops, {} µops detailed warmup each",
         spec.intervals, spec.interval_uops, spec.detail_warmup
     );
-    let fresh = run_experiment(
-        exp,
-        &workloads,
-        &configs,
-        params,
-        grid_threads(),
-        Some(spec),
-    );
+    let env = RunEnv {
+        sample: Some(spec),
+        ..env.clone()
+    };
+    let fresh = run_experiment(&env, exp, &workloads, &configs);
     let path = write_manifest(&fresh, &artifacts_dir()).expect("write sampled manifest");
     eprintln!("wrote {}", path.display());
 
@@ -464,17 +448,22 @@ fn take_addr(args: &mut Vec<String>) -> String {
 }
 
 fn main() {
+    // Every mode runs the gate's fixed window, exact unless it samples.
+    let env = RunEnv {
+        params: gate_params(),
+        sample: None,
+        ..RunEnv::from_env()
+    };
     let mut args: Vec<String> = std::env::args().collect();
-    let params = gate_params();
     match args.get(1).map(String::as_str) {
-        None | Some("baseline") => write_baselines(params),
-        Some("gate") => std::process::exit(gate(params)),
+        None | Some("baseline") => write_baselines(&env),
+        Some("gate") => std::process::exit(gate(&env)),
         Some("sample-error") => {
             let experiment = args
                 .get(2)
                 .cloned()
                 .unwrap_or_else(|| "figure4".to_string());
-            std::process::exit(sample_error(&experiment, params));
+            std::process::exit(sample_error(&env, &experiment));
         }
         Some("submit") => {
             let addr = take_addr(&mut args);

@@ -11,7 +11,7 @@
 //! timing simulator hard-wires four clusters, so the 7-cluster machine
 //! itself is evaluated with the complexity models only.
 
-use wsrs_bench::{render_grid, run_grid, RunParams};
+use wsrs_bench::{render_grid, run_grid, RunEnv};
 use wsrs_complexity::{
     bypass_sources, pipeline_cycles, reg_bit_area_w2, wakeup_comparators, CactiModel, RegFileOrg,
 };
@@ -20,6 +20,7 @@ use wsrs_regfile::RenameStrategy;
 use wsrs_workloads::Workload;
 
 fn main() {
+    let env = RunEnv::from_env();
     let model = CactiModel::paper();
     // 14-way, 7-cluster machine: scale the register budget with the wider
     // window (896 = 7 × 128, the per-subset sizing rule of §2.4).
@@ -84,8 +85,7 @@ fn main() {
     let configs = [("WSRS 512", wsrs(512)), ("WSRS 896", wsrs(896))];
     let names: Vec<&str> = configs.iter().map(|(n, _)| *n).collect();
     let subset = [Workload::Gzip, Workload::Mcf, Workload::Wupwise];
-    let params = RunParams::from_env();
-    let grid = run_grid(&subset, &configs, params, &|_, _, _, _| {}).reports;
+    let grid = run_grid(&env, &subset, &configs, &|_, _, _, _| {}).reports;
     let rows: Vec<(String, Vec<f64>)> = subset
         .iter()
         .zip(&grid)

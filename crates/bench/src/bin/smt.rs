@@ -74,8 +74,8 @@ fn main() {
         };
         let ra = single(a, &ta);
         let rb = single(b, &tb);
-        let smt = Simulator::new(smt_cfg)
-            .run_smt_bounded(vec![ta.iter().copied(), tb.iter().copied()], PER_THREAD);
+        let pair = [&ta, &tb].map(|t| t.iter().copied().take(PER_THREAD));
+        let smt = Simulator::new(smt_cfg).run_smt(pair.to_vec());
         // Speedup over running the two threads back to back.
         let serial_cycles = ra.cycles + rb.cycles;
         let speedup = serial_cycles as f64 / smt.cycles as f64;

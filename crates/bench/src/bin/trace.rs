@@ -21,7 +21,7 @@
 //! hashes (the value CI keys its trace cache on).
 
 use std::process::ExitCode;
-use wsrs_bench::{default_trace_store, RunParams};
+use wsrs_bench::{RunEnv, RunParams};
 use wsrs_core::sim_revision;
 use wsrs_trace::{
     CheckpointKey, CheckpointRecord, TraceFile, TraceKey, TraceStore, CHECKPOINT_EXT,
@@ -74,20 +74,8 @@ fn is_current(key: &TraceKey) -> bool {
     }
 }
 
-fn store_or_die() -> TraceStore {
-    match default_trace_store() {
-        Some(s) => s,
-        None => {
-            eprintln!("trace store disabled (WSRS_TRACE_STORE={:?})", {
-                std::env::var("WSRS_TRACE_STORE").unwrap_or_default()
-            });
-            std::process::exit(2);
-        }
-    }
-}
-
-fn record(store: &TraceStore, args: &[String]) -> ExitCode {
-    let mut params = RunParams::from_env();
+fn record(env: &RunEnv, args: &[String]) -> ExitCode {
+    let (store, mut params) = (&env.store, env.params);
     let workloads: Vec<Workload> = match args.first() {
         None => Workload::all().to_vec(),
         Some(name) => match workload_by_name(name) {
@@ -171,7 +159,7 @@ fn inspect_checkpoint(path: &std::path::Path) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn inspect(store: &TraceStore, target: Option<&String>) -> ExitCode {
+fn inspect(env: &RunEnv, target: Option<&String>) -> ExitCode {
     let Some(target) = target else {
         eprintln!("inspect: expected a workload name, a .wsrt path or a .wsck path");
         return ExitCode::from(2);
@@ -187,11 +175,11 @@ fn inspect(store: &TraceStore, target: Option<&String>) -> ExitCode {
     } else if let Some(w) = workload_by_name(target) {
         // Exact current-window file if present, else any recorded window
         // of this workload.
-        let exact = store.path_for(&current_key(w, RunParams::from_env()));
+        let exact = env.store.path_for(&current_key(w, env.params));
         if exact.is_file() {
             exact
         } else {
-            match store.entries().ok().and_then(|e| {
+            match env.store.entries().ok().and_then(|e| {
                 e.into_iter().find(|p| {
                     p.file_name()
                         .and_then(|n| TraceKey::parse_file_name(&n.to_string_lossy()))
@@ -430,13 +418,14 @@ fn main() -> ExitCode {
     for s in wsrs_workgen::presets::standard_family() {
         let _ = wsrs_workgen::register(&s.profile, s.seed);
     }
+    let env = RunEnv::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("record") => record(&store_or_die(), &args[1..]),
-        Some("inspect") => inspect(&store_or_die(), args.get(1)),
-        Some("verify") => verify(&store_or_die()),
-        Some("ls") => ls(&store_or_die()),
-        Some("rm") => rm(&store_or_die(), args.get(1)),
+        Some("record") => record(&env, &args[1..]),
+        Some("inspect") => inspect(&env, args.get(1)),
+        Some("verify") => verify(&env.store),
+        Some("ls") => ls(&env.store),
+        Some("rm") => rm(&env.store, args.get(1)),
         Some("rev") => rev(),
         _ => usage(),
     }

@@ -7,13 +7,13 @@
 //! occupies a register only from issue to superseding-commit, so far fewer
 //! physical registers sustain the same 224-µop window.
 
-use wsrs_bench::{render_grid, run_cell, RunParams};
+use wsrs_bench::{render_grid, run_cell, RunEnv};
 use wsrs_core::{SimConfig, SimConfigBuilder};
 use wsrs_regfile::RenameStrategy;
 use wsrs_workloads::Workload;
 
 fn main() {
-    let params = RunParams::from_env();
+    let params = RunEnv::from_env().params;
     let subset = [
         Workload::Gzip,
         Workload::Crafty,

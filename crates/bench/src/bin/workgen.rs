@@ -21,10 +21,7 @@
 
 use std::process::ExitCode;
 use wsrs_bench::manifest::{artifacts_dir, grid_manifest, telemetry_on, write_manifest};
-use wsrs_bench::{
-    default_trace_store, grid_threads, maybe_write_csv, render_csv, render_grid, run_grid,
-    workgen_configs, RunParams, TraceCache,
-};
+use wsrs_bench::{render_csv, render_grid, run_grid, workgen_configs, RunEnv, TraceCache};
 use wsrs_core::SimConfig;
 use wsrs_workgen::presets::{adversarial_readspec, adversarial_writespec, anchor, standard_family};
 use wsrs_workgen::{gen_name, register, remeasure, Tolerances, WorkloadProfile};
@@ -81,12 +78,11 @@ fn extract(kernel: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn synth(profile: &WorkloadProfile, seed: u64) -> ExitCode {
+fn synth(env: &RunEnv, profile: &WorkloadProfile, seed: u64) -> ExitCode {
     let w = register(profile, seed);
-    let params = RunParams::from_env();
     // Checking the workload out of a store-backed cache records its trace
     // (or verifies the existing recording replays).
-    let cache = TraceCache::evicting(params, 1).with_store(default_trace_store());
+    let cache = TraceCache::evicting(env.params, 1).with_store(Some(env.store.clone()));
     let trace = cache.checkout(w);
     let uops = trace.len();
     drop(trace);
@@ -100,9 +96,6 @@ fn synth(profile: &WorkloadProfile, seed: u64) -> ExitCode {
         uops,
         origin
     );
-    if cache.disk_store().is_none() {
-        eprintln!("note: trace store disabled (WSRS_TRACE_STORE=0) — nothing recorded");
-    }
     ExitCode::SUCCESS
 }
 
@@ -142,8 +135,7 @@ fn wsrs_delta_pct(row: &[wsrs_core::Report]) -> f64 {
 }
 
 #[allow(clippy::too_many_lines)]
-fn grid() -> ExitCode {
-    let params = RunParams::from_env();
+fn grid(env: &RunEnv) -> ExitCode {
     let configs = grid_configs();
     let names: Vec<&str> = configs.iter().map(|(n, _)| *n).collect();
 
@@ -164,13 +156,13 @@ fn grid() -> ExitCode {
         Workload::all().len(),
         family.len(),
         configs.len(),
-        params.warmup,
-        params.measure,
-        grid_threads()
+        env.params.warmup,
+        env.params.measure,
+        env.threads
     );
 
     let t0 = std::time::Instant::now();
-    let run = run_grid(&workloads, &configs, params, &|w, name, r, elapsed| {
+    let run = run_grid(env, &workloads, &configs, &|w, name, r, elapsed| {
         eprintln!(
             "  {:<24} {:<14} ipc {:>6.3}  ({elapsed:.1?})",
             w.name(),
@@ -214,9 +206,7 @@ fn grid() -> ExitCode {
         }
     }
 
-    if let Some(path) = maybe_write_csv("workgen", &render_csv(&col_names, &rows)) {
-        eprintln!("wrote {}", path.display());
-    }
+    env.write_csv("workgen", &render_csv(&col_names, &rows));
     if let Some(summary) = run.sample_summary() {
         eprintln!("{summary}");
     }
@@ -224,8 +214,8 @@ fn grid() -> ExitCode {
         "workgen",
         &workloads,
         &configs,
-        params,
-        grid_threads(),
+        env.params,
+        env.threads,
         t0.elapsed().as_secs_f64(),
         &run.reports,
         &run.batched,
@@ -245,6 +235,7 @@ fn grid() -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    let env = RunEnv::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.split_first().map(|(c, rest)| (c.as_str(), rest)) {
         Some(("extract", [kernel])) => extract(kernel),
@@ -257,12 +248,12 @@ fn main() -> ExitCode {
                 return usage();
             };
             if args[0] == "synth" {
-                synth(&p, seed)
+                synth(&env, &p, seed)
             } else {
                 check(&p, seed)
             }
         }
-        Some(("grid", [])) => grid(),
+        Some(("grid", [])) => grid(&env),
         _ => usage(),
     }
 }

@@ -25,8 +25,11 @@
 //! variables `WSRS_WARMUP` and `WSRS_MEASURE` for paper-scale runs.
 
 pub mod client;
+pub mod env;
 pub mod manifest;
 pub mod windows;
+
+pub use env::RunEnv;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,23 +63,6 @@ impl RunParams {
         RunParams {
             warmup: windows::DEFAULT_WARMUP,
             measure: windows::DEFAULT_MEASURE,
-        }
-    }
-
-    /// Reads `WSRS_WARMUP` / `WSRS_MEASURE` from the environment, falling
-    /// back to the scaled defaults.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let get = |k: &str, d: u64| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
-        let d = Self::default_scaled();
-        RunParams {
-            warmup: get("WSRS_WARMUP", d.warmup),
-            measure: get("WSRS_MEASURE", d.measure),
         }
     }
 }
@@ -899,19 +885,6 @@ fn warn_unusable(w: Workload, e: &TraceError) {
 /// grid, and use the hook only for progress output.
 pub type CellHook<'a> = &'a (dyn Fn(Workload, &str, &Report, Duration) + Sync);
 
-/// Worker count for [`run_grid`]: `WSRS_THREADS` if set, else the
-/// machine's available parallelism.
-#[must_use]
-pub fn grid_threads() -> usize {
-    match std::env::var("WSRS_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        Some(n) => 1.max(n),
-        None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-    }
-}
-
 /// The result of one grid run: the per-cell reports (indexed
 /// `[workload][configuration]`) plus the trace provenance the run's
 /// [`TraceCache`] accumulated — where each workload's µops came from and
@@ -1346,51 +1319,41 @@ fn run_scalar<S: UopSource + ?Sized>(
     (sr.aggregate, Some(outcome))
 }
 
-/// The disk trace store grid experiments use by default:
-/// `artifacts/traces/` next to the manifests, overridable with
-/// `WSRS_TRACE_DIR` and disabled with `WSRS_TRACE_STORE=0`.
-#[must_use]
-pub fn default_trace_store() -> Option<TraceStore> {
-    TraceStore::from_env(manifest::artifacts_dir().join("traces"))
-}
-
 /// Runs every (workload, configuration) cell of an experiment grid and
 /// returns the reports indexed `[workload][configuration]` together with
 /// the run's trace provenance.
 ///
 /// Each workload's µop trace is materialized once — replayed from the
-/// [`default_trace_store`] when a valid recording exists, emulated (and
+/// environment's trace store when a valid recording exists, emulated (and
 /// recorded) otherwise — shared across its cells through a
 /// [`TraceCache`], and evicted when its last cell completes. Within a
 /// workload, compatible configuration columns are simulated together on
 /// the batched lockstep path ([`wsrs_core::run_lockstep`]): one pass over
 /// the shared trace, annotated by the family predictor once, drives every
 /// lane of the batch. Work units (batches and leftover scalar cells) are
-/// fanned across [`grid_threads`] worker threads, each unit claimed by
+/// fanned across the environment's worker threads, each unit claimed by
 /// exactly one worker; because every unit simulates its (trace,
 /// configuration) pairs in isolation — and the lockstep path is
 /// bit-identical to scalar by construction — the returned grid is
 /// byte-identical for any worker count (including serial) and for
 /// replayed vs freshly emulated traces.
 ///
-/// `WSRS_SAMPLED=1` (or `true`/`on`) runs every single-thread cell
-/// interval-sampled with the default [`SampleSpec`] instead of exact.
+/// The window, worker count, store and sampling spec come from `env`:
+/// with [`RunEnv::sample`] set, every single-thread cell runs sampled.
 #[must_use]
 pub fn run_grid(
+    env: &RunEnv,
     workloads: &[Workload],
     configs: &[(&str, SimConfig)],
-    params: RunParams,
     on_cell: CellHook<'_>,
 ) -> GridRun {
-    let sampled = std::env::var("WSRS_SAMPLED")
-        .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on"));
     run_grid_full(
         workloads,
         configs,
-        params,
-        grid_threads(),
-        default_trace_store(),
-        sampled.then(SampleSpec::default),
+        env.params,
+        env.threads,
+        Some(env.store.clone()),
+        env.sample,
         on_cell,
     )
 }
@@ -1554,18 +1517,6 @@ pub fn render_bars(
     out
 }
 
-/// If `WSRS_CSV_DIR` is set, writes `contents` to `<dir>/<name>.csv` and
-/// returns the path written.
-pub fn maybe_write_csv(name: &str, contents: &str) -> Option<std::path::PathBuf> {
-    let dir = std::env::var_os("WSRS_CSV_DIR")?;
-    let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
-    if std::fs::write(&path, contents).is_ok() {
-        Some(path)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1586,13 +1537,6 @@ mod tests {
         assert!(!half.contains(&"#".repeat(25)));
     }
 
-    #[test]
-    fn csv_env_gate() {
-        // Without the env var, nothing is written.
-        std::env::remove_var("WSRS_CSV_DIR");
-        assert!(maybe_write_csv("x", "y").is_none());
-    }
-
     fn row(w: Workload, configs: &[(&str, SimConfig)], params: RunParams) -> Vec<CellJob> {
         configs
             .iter()
@@ -1602,7 +1546,7 @@ mod tests {
 
     #[test]
     fn figure4_plans_as_one_lockstep_batch() {
-        let params = RunParams::from_env();
+        let params = RunParams::default_scaled();
         let configs = figure4_configs();
         let queue = CellQueue::plan(row(Workload::Gzip, &configs, params));
         assert_eq!(
@@ -1616,7 +1560,7 @@ mod tests {
 
     #[test]
     fn incompatible_columns_fall_back_to_scalar_units() {
-        let params = RunParams::from_env();
+        let params = RunParams::default_scaled();
         let mut smt = SimConfig::conventional_rr(256);
         smt.threads = 2;
         let mut vp = SimConfig::conventional_rr(256);
@@ -1644,7 +1588,7 @@ mod tests {
 
     #[test]
     fn multi_workload_queue_keeps_workloads_contiguous() {
-        let params = RunParams::from_env();
+        let params = RunParams::default_scaled();
         let configs = [
             ("a", SimConfig::conventional_rr(256)),
             ("b", SimConfig::conventional_rr(512)),
@@ -1705,7 +1649,7 @@ mod tests {
 
     #[test]
     fn batch_hint_false_forces_scalar() {
-        let params = RunParams::from_env();
+        let params = RunParams::default_scaled();
         let configs = [
             ("a", SimConfig::conventional_rr(256)),
             ("b", SimConfig::conventional_rr(512)),
@@ -1759,13 +1703,6 @@ mod tests {
         for (_, c) in &cfgs {
             c.validate();
         }
-    }
-
-    #[test]
-    fn params_env_fallback() {
-        let p = RunParams::from_env();
-        assert!(p.warmup >= 1);
-        assert!(p.measure >= 1);
     }
 
     #[test]

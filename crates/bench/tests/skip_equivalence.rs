@@ -9,18 +9,18 @@
 //! cargo test --release -p wsrs-bench --test skip_equivalence -- --ignored
 //! ```
 //!
-//! Traces replay from (or are recorded into) the default trace store,
-//! the same one `report gate` uses.
+//! Traces replay from (or are recorded into) the run environment's trace
+//! store, the same one `report gate` uses.
 
 use wsrs_bench::windows::gate_params;
-use wsrs_bench::{default_trace_store, gate_experiments, TraceCache};
+use wsrs_bench::{gate_experiments, RunEnv, TraceCache};
 use wsrs_core::Simulator;
 
 #[test]
 #[ignore = "simulates every gate cell twice; run in release with --ignored"]
 fn skipping_matches_cycle_by_cycle_on_every_gate_cell() {
     let params = gate_params();
-    let cache = TraceCache::new(params).with_store(default_trace_store());
+    let cache = TraceCache::new(params).with_store(Some(RunEnv::from_env().store));
     let mut cells = 0;
     for (experiment, configs, workloads) in gate_experiments() {
         for w in workloads {

@@ -12,14 +12,14 @@
 //! cargo test --release -p wsrs-bench --test stream_equivalence -- --ignored
 //! ```
 //!
-//! It replays traces from (or records them into) the default trace store,
-//! the same one `report gate` uses.
+//! It replays traces from (or records them into) the run environment's
+//! trace store, the same one `report gate` uses.
 
 use std::path::PathBuf;
 
 use wsrs_bench::manifest::telemetry_on;
 use wsrs_bench::windows::gate_params;
-use wsrs_bench::{default_trace_store, figure4_configs, RunParams, TraceCache, TraceSampleStore};
+use wsrs_bench::{figure4_configs, RunEnv, RunParams, TraceCache, TraceSampleStore};
 use wsrs_core::{run_sampled, SampleSpec, SimConfig, Simulator};
 use wsrs_trace::{TraceFile, TraceHeader, TraceKey, TraceStore};
 use wsrs_workloads::Workload;
@@ -114,7 +114,7 @@ fn streamed_replay_matches_decoded_on_small_blocks() {
 #[ignore = "simulates every gate workload six times; run in release with --ignored"]
 fn streamed_replay_matches_decoded_on_every_gate_workload() {
     let params = gate_params();
-    let store = default_trace_store().expect("the gate needs a trace store");
+    let store = RunEnv::from_env().store;
     let cache = TraceCache::evicting(params, 1).with_store(Some(store.clone()));
     let cfg = config();
     for w in Workload::all() {

@@ -268,7 +268,8 @@ impl Simulator {
     /// round-robin, the ROB, the clusters, the caches and the physical
     /// register file; each has its own architectural map tables, store
     /// queue and memory-order stream. The report's `per_thread_uops`
-    /// carries the per-thread retirement counts.
+    /// carries the per-thread retirement counts. Bound a window by
+    /// truncating each trace (`.take(n)`).
     pub fn run_smt<I>(&self, traces: Vec<I>) -> Report
     where
         I: IntoIterator<Item = DynInst>,
@@ -276,21 +277,6 @@ impl Simulator {
         let boxed: Vec<Box<dyn Iterator<Item = DynInst>>> = traces
             .into_iter()
             .map(|t| Box::new(t.into_iter()) as Box<dyn Iterator<Item = DynInst>>)
-            .collect();
-        Engine::new(&self.config).run_inner(boxed, 0, None)
-    }
-
-    /// Like [`Simulator::run_smt`] with a bounded measurement window: every
-    /// thread's trace is truncated to `per_thread_uops` µops.
-    pub fn run_smt_bounded<I>(&self, traces: Vec<I>, per_thread_uops: usize) -> Report
-    where
-        I: IntoIterator<Item = DynInst>,
-    {
-        let boxed: Vec<Box<dyn Iterator<Item = DynInst>>> = traces
-            .into_iter()
-            .map(|t| {
-                Box::new(t.into_iter().take(per_thread_uops)) as Box<dyn Iterator<Item = DynInst>>
-            })
             .collect();
         Engine::new(&self.config).run_inner(boxed, 0, None)
     }

@@ -9,16 +9,17 @@
 //! ```
 //!
 //! Defaults: `127.0.0.1:8787`, one worker per `WSRS_THREADS`/CPU slot,
-//! stores under `artifacts/memo` and `artifacts/traces`.
+//! memos under `artifacts/memo`, traces under `WSRS_TRACE_DIR` or
+//! `artifacts/traces`.
 
+use wsrs_bench::RunEnv;
 use wsrs_serve::{install_signal_handlers, MemoStore, Server, ServerOptions};
 
 /// `wsrs-serve gc [--dry-run] [--memo-dir DIR]`: offline memo-store
 /// garbage collection. Entries keyed to a `sim_revision` other than the
 /// current binary's can never hit again (the lookup key always carries
 /// the current revision) — they only waste disk. Never returns.
-fn run_gc(args: std::env::ArgsOs) -> ! {
-    let mut dir = ServerOptions::default_dirs().memo_dir;
+fn run_gc(mut dir: std::path::PathBuf, args: std::env::ArgsOs) -> ! {
     let mut dry_run = false;
     let mut args = args.map(|a| a.to_string_lossy().into_owned());
     while let Some(arg) = args.next() {
@@ -62,14 +63,14 @@ fn run_gc(args: std::env::ArgsOs) -> ! {
 }
 
 fn main() {
-    let mut opts = ServerOptions::default_dirs();
+    let mut opts = ServerOptions::new(&RunEnv::from_env());
     let mut addr = "127.0.0.1:8787".to_string();
     let mut args = std::env::args().skip(1);
     if std::env::args().nth(1).as_deref() == Some("gc") {
         let mut os_args = std::env::args_os();
         os_args.next(); // argv[0]
         os_args.next(); // "gc"
-        run_gc(os_args);
+        run_gc(opts.memo_dir, os_args);
     }
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {

@@ -36,7 +36,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use wsrs_bench::manifest::cell_record;
-use wsrs_bench::{config_registry, CellQueue, CellResult, RunParams, TraceCache};
+use wsrs_bench::{config_registry, CellQueue, CellResult, RunEnv, RunParams, TraceCache};
 use wsrs_core::SimConfig;
 use wsrs_telemetry::Json;
 use wsrs_trace::{TraceFile, TraceKey, TraceStore};
@@ -100,16 +100,16 @@ pub struct ServerOptions {
 }
 
 impl ServerOptions {
-    /// Production defaults: one worker per [`wsrs_bench::grid_threads`]
-    /// slot, stores under `artifacts/` next to the manifests.
+    /// Production defaults from the run environment: one worker per
+    /// [`RunEnv::threads`] slot, the environment's trace store, and the
+    /// memo store under `artifacts/` next to the manifests.
     #[must_use]
-    pub fn default_dirs() -> ServerOptions {
-        let artifacts = wsrs_bench::manifest::artifacts_dir();
+    pub fn new(env: &RunEnv) -> ServerOptions {
         ServerOptions {
-            workers: wsrs_bench::grid_threads(),
+            workers: env.threads,
             paused: false,
-            memo_dir: artifacts.join("memo"),
-            trace_dir: artifacts.join("traces"),
+            memo_dir: wsrs_bench::manifest::artifacts_dir().join("memo"),
+            trace_dir: env.store.dir().to_path_buf(),
         }
     }
 }
@@ -728,5 +728,25 @@ mod tests {
         assert_eq!(target("0.0.0.0:8787"), "127.0.0.1:8787");
         assert_eq!(target("[::]:8787"), "[::1]:8787");
         assert_eq!(target("10.1.2.3:8787"), "10.1.2.3:8787");
+    }
+
+    #[test]
+    fn options_follow_the_run_environment() {
+        let env =
+            RunEnv::from_vars(&[("WSRS_TRACE_DIR", "/srv/traces"), ("WSRS_THREADS", "3")]).unwrap();
+        let opts = ServerOptions::new(&env);
+        assert_eq!(opts.trace_dir, std::path::Path::new("/srv/traces"));
+        assert_eq!(opts.workers, 3);
+        assert_eq!(
+            opts.memo_dir,
+            wsrs_bench::manifest::artifacts_dir().join("memo")
+        );
+        assert!(!opts.paused);
+
+        let defaults = ServerOptions::new(&RunEnv::from_vars::<&str, &str>(&[]).unwrap());
+        assert_eq!(
+            defaults.trace_dir,
+            wsrs_bench::manifest::artifacts_dir().join("traces")
+        );
     }
 }

@@ -14,8 +14,7 @@
 //! * [`file`] — the on-disk format: versioned header, block index for O(1)
 //!   window seeks, whole-file FNV-1a checksum; a [`TraceFile`] decodes
 //!   whole windows or streams one block at a time;
-//! * [`store`] — the keyed directory ([`TraceStore`]), with atomic writes
-//!   and `WSRS_TRACE_DIR` / `WSRS_TRACE_STORE` environment resolution;
+//! * [`store`] — the keyed directory ([`TraceStore`]), with atomic writes;
 //!   [`TraceStore::open`] validates a file without decoding it,
 //!   [`TraceStore::load`] also decodes every µop;
 //! * [`checkpoint`] — checksummed warmup-checkpoint records for interval
@@ -57,6 +56,4 @@ pub use codec::{decode_block, encode_block, CodecError};
 pub use file::{
     encode, TraceError, TraceFile, TraceHeader, Uops, DEFAULT_BLOCK_UOPS, FORMAT_VERSION, MAGIC,
 };
-pub use store::{
-    LoadedTrace, SavedTrace, TraceKey, TraceStore, TRACE_DIR_ENV, TRACE_EXT, TRACE_STORE_ENV,
-};
+pub use store::{LoadedTrace, SavedTrace, TraceKey, TraceStore, TRACE_EXT};

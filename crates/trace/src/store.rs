@@ -12,10 +12,6 @@ use wsrs_isa::DynInst;
 
 use crate::file::{self, TraceError, TraceFile, TraceHeader, DEFAULT_BLOCK_UOPS};
 
-/// Environment variable overriding the store directory.
-pub const TRACE_DIR_ENV: &str = "WSRS_TRACE_DIR";
-/// Environment variable disabling the store entirely (`0`, `off`, `none`).
-pub const TRACE_STORE_ENV: &str = "WSRS_TRACE_STORE";
 /// Extension of trace files inside a store directory.
 pub const TRACE_EXT: &str = "wsrt";
 
@@ -100,24 +96,6 @@ impl TraceStore {
     /// save.
     pub fn at(dir: impl Into<PathBuf>) -> TraceStore {
         TraceStore { dir: dir.into() }
-    }
-
-    /// Resolves the store from the environment: `WSRS_TRACE_STORE=0`
-    /// (or `off`/`none`/`disabled`/`false`) disables it, `WSRS_TRACE_DIR`
-    /// overrides the directory, and `default_dir` is used otherwise.
-    pub fn from_env(default_dir: impl Into<PathBuf>) -> Option<TraceStore> {
-        if let Ok(v) = std::env::var(TRACE_STORE_ENV) {
-            if matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "0" | "off" | "none" | "disabled" | "false"
-            ) {
-                return None;
-            }
-        }
-        let dir = std::env::var_os(TRACE_DIR_ENV)
-            .map(PathBuf::from)
-            .unwrap_or_else(|| default_dir.into());
-        Some(TraceStore::at(dir))
     }
 
     /// The store's root directory.
@@ -367,19 +345,5 @@ mod tests {
             got => panic!("expected window mismatch, got {got:?}"),
         }
         let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn from_env_respects_disable_values() {
-        // No env manipulation here (tests run in parallel); exercise only
-        // the default path.
-        let store = TraceStore::from_env("/tmp/wsrs-trace-default");
-        if std::env::var_os(TRACE_STORE_ENV).is_none() && std::env::var_os(TRACE_DIR_ENV).is_none()
-        {
-            assert_eq!(
-                store.expect("enabled by default").dir(),
-                Path::new("/tmp/wsrs-trace-default")
-            );
-        }
     }
 }

@@ -95,10 +95,10 @@ fn smt_pairs_real_workloads() {
     .deadlock_recovery(true)
     .build();
     let per_thread = 120_000;
-    let r = Simulator::new(cfg).run_smt_bounded(
-        vec![Workload::Gzip.trace(), Workload::Swim.trace()],
-        per_thread,
-    );
+    let r = Simulator::new(cfg).run_smt(vec![
+        Workload::Gzip.trace().take(per_thread),
+        Workload::Swim.trace().take(per_thread),
+    ]);
     assert!(!r.deadlocked);
     assert_eq!(
         r.per_thread_uops,
