@@ -33,11 +33,6 @@ pub const MIX_MEASURE: u64 = 500_000;
 /// clear every kernel's initialization inside the measured stream.
 pub const SMT_PER_THREAD: u64 = 1_500_000;
 
-/// µops per Criterion micro-bench iteration (`simulator`, `scheduler`,
-/// `batch`): long enough that steady-state throughput dominates engine
-/// setup, short enough for a tolerable sample time.
-pub const BENCH_UOPS: u64 = 100_000;
-
 /// Warm-up cap for the regression gate's determinism probe.
 pub const PROBE_WARMUP_CAP: u64 = 50_000;
 /// Measured-window cap for the regression gate's determinism probe.

@@ -50,7 +50,7 @@ pub mod pipeview;
 pub mod sample;
 pub mod sim;
 mod slots;
-pub mod wheel;
+mod wheel;
 
 /// Timing-model revision tag. Bump whenever a change can alter any
 /// `Report` field for some (config, trace) cell — new timing semantics,
@@ -83,4 +83,3 @@ pub use sample::{
     SampledReport,
 };
 pub use sim::Simulator;
-pub use wheel::CalendarWheel;

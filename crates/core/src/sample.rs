@@ -351,8 +351,7 @@ pub struct SampledReport {
     /// IPC.
     pub error_bound: f64,
     /// Aggregate counters summed over the detailed interval runs (the
-    /// `Report` a sampled cell stands in for; `attribution` is `None` and
-    /// the load-latency histogram is not aggregated).
+    /// `Report` a sampled cell stands in for; `attribution` is `None`).
     pub aggregate: Report,
     /// µops functionally fast-forwarded this run — 0 when every interval
     /// replayed from a checkpoint (the pure-replay fast path).
@@ -551,12 +550,10 @@ fn run_interval(
 }
 
 /// Sums the summable counters of the interval reports into one aggregate
-/// (`unbalance_percent` is µop-weighted; the load-latency histogram is
-/// left empty; `attribution` is dropped).
+/// (`unbalance_percent` is µop-weighted; `attribution` is dropped).
 fn sum_reports(reports: &[Report]) -> Report {
     let mut it = reports.iter();
     let mut total = it.next().expect("at least one interval").clone();
-    total.memory.load_latency = Default::default();
     total.attribution = None;
     let mut unbalance_weighted = total.unbalance_percent * total.uops as f64;
     for r in it {

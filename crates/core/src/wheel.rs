@@ -74,24 +74,6 @@ impl CalendarWheel {
         }
     }
 
-    /// Ring capacity in cycles.
-    #[must_use]
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// Events booked and not yet drained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no event is booked.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Books `seq` for cycle `due`. `due` must not precede the next drain
     /// cycle, or the event would never fire.
     pub fn schedule(&mut self, due: u64, seq: u64) {
@@ -221,12 +203,12 @@ mod tests {
         w.schedule(3, 30);
         w.schedule(1, 10);
         w.schedule(3, 31);
-        assert_eq!(w.len(), 3);
+        assert_eq!(w.len, 3);
         assert_eq!(drained(&mut w, 0), vec![]);
         assert_eq!(drained(&mut w, 1), vec![10]);
         assert_eq!(drained(&mut w, 2), vec![]);
         assert_eq!(drained(&mut w, 3), vec![30, 31]);
-        assert!(w.is_empty());
+        assert_eq!(w.len, 0);
     }
 
     #[test]
@@ -242,7 +224,7 @@ mod tests {
         }
         // Event booked at cycle c fires at c + 3.
         assert_eq!(hits, (0..61).collect::<Vec<_>>());
-        assert_eq!(w.len(), 3);
+        assert_eq!(w.len, 3);
     }
 
     #[test]
@@ -253,7 +235,7 @@ mod tests {
         w.schedule(100, 7);
         w.schedule(23, 5);
         w.schedule(2, 1);
-        assert_eq!(w.len(), 3);
+        assert_eq!(w.len, 3);
         let mut fired = Vec::new();
         for cycle in 0..=100 {
             let mut out = Vec::new();
@@ -263,7 +245,7 @@ mod tests {
             }
         }
         assert_eq!(fired, vec![(2, 1), (23, 5), (100, 7)]);
-        assert!(w.is_empty());
+        assert_eq!(w.len, 0);
     }
 
     #[test]
@@ -312,12 +294,12 @@ mod tests {
         for seq in 0..n as u64 {
             w.schedule(3, seq);
         }
-        assert_eq!(w.len(), n);
+        assert_eq!(w.len, n);
         assert_eq!(drained(&mut w, 0), vec![]);
         assert_eq!(drained(&mut w, 1), vec![]);
         assert_eq!(drained(&mut w, 2), vec![]);
         assert_eq!(drained(&mut w, 3), (0..n as u64).collect::<Vec<_>>());
-        assert!(w.is_empty());
+        assert_eq!(w.len, 0);
     }
 
     #[test]
@@ -355,7 +337,7 @@ mod tests {
         assert_eq!(w.next_due(), Some(40));
         w.advance_to(40);
         assert_eq!(drained(&mut w, 40), vec![4]);
-        assert!(w.is_empty());
+        assert_eq!(w.len, 0);
         // Ring bookings survive a jump to exactly their due cycle, and the
         // ring indexing stays consistent after the base moved non-contiguously.
         w.schedule(43, 9);

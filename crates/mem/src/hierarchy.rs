@@ -2,7 +2,6 @@
 //! (paper Table 3).
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
-use wsrs_telemetry::Histogram;
 
 /// Full hierarchy configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -68,10 +67,6 @@ pub struct HierarchyStats {
     pub l1_port_stalls: u64,
     /// Cycles of L2 bus occupancy accumulated by refills.
     pub l2_bus_busy_cycles: u64,
-    /// Distribution of per-load total latencies (power-of-two buckets):
-    /// separates "all hits" from "occasionally memory-bound" workloads
-    /// that average the same.
-    pub load_latency: Histogram,
 }
 
 /// The two-level data-memory timing model.
@@ -89,7 +84,6 @@ pub struct MemoryHierarchy {
     /// Next cycle at which the L2 bus is free.
     l2_bus_free: u64,
     stats_extra: (u64, u64),
-    load_latency: Histogram,
 }
 
 impl MemoryHierarchy {
@@ -108,7 +102,6 @@ impl MemoryHierarchy {
             port_used: 0,
             l2_bus_free: 0,
             stats_extra: (0, 0),
-            load_latency: Histogram::new(),
         }
     }
 
@@ -126,7 +119,6 @@ impl MemoryHierarchy {
             l2: self.l2.stats(),
             l1_port_stalls: self.stats_extra.0,
             l2_bus_busy_cycles: self.stats_extra.1,
-            load_latency: self.load_latency,
         }
     }
 
@@ -191,9 +183,8 @@ impl MemoryHierarchy {
     }
 
     /// Appends both levels' tag/LRU state to `out`, for warmup
-    /// checkpointing. Port and bus occupancy, statistics and the latency
-    /// histogram are short-horizon or measurement state and deliberately
-    /// excluded; [`Self::load_state`] resets them.
+    /// checkpointing. Port and bus occupancy and statistics are
+    /// short-horizon or measurement state and deliberately excluded; [`Self::load_state`] resets them.
     pub fn dump_state(&self, out: &mut Vec<u8>) {
         self.l1.dump_bytes(out);
         self.l2.dump_bytes(out);
@@ -214,7 +205,6 @@ impl MemoryHierarchy {
             self.port_used = 0;
             self.l2_bus_free = 0;
             self.stats_extra = (0, 0);
-            self.load_latency = Histogram::new();
             true
         }
     }
@@ -222,9 +212,7 @@ impl MemoryHierarchy {
     /// Timing for a load issued at `cycle` to `addr`; returns total latency
     /// in cycles.
     pub fn load(&mut self, addr: u64, cycle: u64) -> u32 {
-        let latency = self.access(addr, cycle, false);
-        self.load_latency.record(u64::from(latency));
-        latency
+        self.access(addr, cycle, false)
     }
 
     /// Timing for a store performing its cache write at `cycle` (stores
@@ -328,7 +316,6 @@ mod tests {
         assert!(fresh.load_state(&state));
         let s = fresh.stats();
         assert_eq!((s.l1.accesses, s.l2.accesses, s.l1_port_stalls), (0, 0, 0));
-        assert_eq!(s.load_latency.samples(), 0);
         // Identical future behaviour: same latencies for the same stream.
         let mut replay = MemoryHierarchy::new(HierarchyConfig::paper());
         assert!(replay.load_state(&state));
@@ -349,7 +336,5 @@ mod tests {
         assert_eq!(s.l1.accesses, 3);
         assert_eq!(s.l1.misses, 1);
         assert_eq!(s.l2.accesses, 1);
-        assert_eq!(s.load_latency.samples(), 2, "stores are not loads");
-        assert_eq!(s.load_latency.sum(), 94 + 2);
     }
 }

@@ -131,14 +131,10 @@ impl MemoStore {
         }
     }
 
-    /// Atomically writes `line` under `key` (temp file + rename —
-    /// concurrent writers and abrupt kills never expose partial entries).
+    /// Atomically writes `line` under `key` ([`wsrs_trace::write_atomic`]
+    /// — concurrent writers and abrupt kills never expose partial entries).
     pub fn store(&self, key: MemoKey, line: &str) -> std::io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        let name = key.file_name();
-        let tmp = self.dir.join(format!("{name}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, line)?;
-        std::fs::rename(&tmp, self.dir.join(name))?;
+        wsrs_trace::write_atomic(&self.dir, &key.file_name(), line.as_bytes())?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -245,7 +241,7 @@ mod tests {
             None
         );
         assert_eq!(
-            MemoKey::parse_file_name(&format!("{}.tmp.123", key.file_name())),
+            MemoKey::parse_file_name(&format!("{}.tmp.123.0", key.file_name())),
             None
         );
     }
@@ -280,7 +276,11 @@ mod tests {
             spec: 0,
         };
         store.store(key, "x").unwrap();
-        std::fs::write(dir.join(format!("{}.tmp.999", key.file_name())), "partial").unwrap();
+        std::fs::write(
+            dir.join(format!("{}.tmp.999.0", key.file_name())),
+            "partial",
+        )
+        .unwrap();
         assert_eq!(store.entry_count(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so the workspace carries
 //! the small JSON subset it needs in-tree — same approach as the vendored
-//! `rand`/`proptest`/`criterion` stand-ins. Objects preserve insertion
+//! `rand`/`proptest` stand-ins. Objects preserve insertion
 //! order (they are `Vec<(String, Json)>`), which is what makes manifests
 //! byte-stable across runs: serialization order is the construction order,
 //! never a hash-map iteration order.

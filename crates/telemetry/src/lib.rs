@@ -6,17 +6,16 @@
 //! forwarding bubbles, …). This crate is the measurement subsystem the
 //! rest of the workspace plugs into:
 //!
-//! * [`registry`] — [`Counter`], [`Histogram`] and [`PerCluster`]
-//!   primitives plus statically-registered counter definitions
-//!   ([`StatDef`]). All are plain-old-data: a disabled telemetry path
-//!   costs the simulator exactly one branch per cycle
-//!   (`Option<CycleAttribution>` is `None`).
+//! * [`registry`] — the [`Histogram`] primitive plus statically-registered
+//!   counter definitions ([`StatDef`]). Both are plain-old-data: a
+//!   disabled telemetry path costs the simulator exactly one branch per
+//!   cycle (`Option<CycleAttribution>` is `None`).
 //! * [`attr`] — [`SlotBucket`] and [`CycleAttribution`]: every
 //!   commit-width slot of every cycle is charged to exactly one bucket,
 //!   with the conservation invariant `sum(buckets) == cycles × width`
 //!   enforced in debug builds (and property-tested at the workspace root).
 //! * [`json`] — a dependency-free JSON value type, writer and parser,
-//!   in the same vendored spirit as `crates/{rand,proptest,criterion}`:
+//!   in the same vendored spirit as `crates/{rand,proptest}`:
 //!   the build environment has no registry access, so the workspace
 //!   carries the small subset it needs in-tree.
 //! * [`manifest`] — [`RunManifest`]: the self-describing record of one
@@ -25,7 +24,7 @@
 //!   comparison logic behind `wsrs-bench --bin report gate`.
 //!
 //! The crate is dependency-free and knows nothing about the simulator —
-//! `wsrs-core`, `wsrs-mem` and `wsrs-bench` feed it plain numbers.
+//! `wsrs-core` and `wsrs-bench` feed it plain numbers.
 
 pub mod attr;
 pub mod json;
@@ -37,4 +36,4 @@ pub use json::Json;
 pub use manifest::{
     CellRecord, GateOutcome, RunManifest, SampledCell, Tolerances, TraceCacheStats, TraceRecord,
 };
-pub use registry::{Counter, Histogram, PerCluster, StatDef};
+pub use registry::{Histogram, StatDef};

@@ -1,4 +1,4 @@
-//! Counter primitives with static registration.
+//! Statistics primitives with static registration.
 //!
 //! Everything here is plain-old-data (`Copy` where the embedding stats
 //! structs need it) and free of interior mutability or locks: a simulator
@@ -44,45 +44,8 @@ impl StatDef {
     }
 }
 
-/// A monotone event counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Adds `n` events.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one event.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// The accumulated count.
-    #[inline]
-    #[must_use]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// The counts accumulated since `base` was snapshotted.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `base` is ahead of `self` — counters are
-    /// monotone, so a snapshot can never exceed the counter it came from.
-    #[must_use]
-    pub fn since(self, base: Counter) -> Counter {
-        debug_assert!(base.0 <= self.0, "snapshot ahead of counter");
-        Counter(self.0 - base.0)
-    }
-}
-
 /// Bucket count of [`Histogram`] — fixed so histograms stay `Copy` and can
-/// live inside `Copy` stats structs (e.g. the memory hierarchy's).
+/// live inside `Copy` stats structs.
 pub const HISTOGRAM_BUCKETS: usize = 16;
 
 /// A power-of-two-bucket histogram of `u64` samples.
@@ -90,7 +53,7 @@ pub const HISTOGRAM_BUCKETS: usize = 16;
 /// Bucket `0` holds the value `0`, bucket `i` holds values in
 /// `[2^(i-1), 2^i)`, and the last bucket absorbs everything larger.
 /// Recording is branch-light (`leading_zeros` + two adds), suitable for
-/// per-event hot paths like per-load latencies.
+/// per-event hot paths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Histogram {
     counts: [u64; HISTOGRAM_BUCKETS],
@@ -207,110 +170,9 @@ impl Histogram {
     }
 }
 
-/// A `T` per cluster (or per register subset — any small, fixed machine
-/// dimension). Thin wrapper over a `Vec` with arithmetic helpers for the
-/// common `u64` case.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PerCluster<T> {
-    slots: Vec<T>,
-}
-
-impl<T: Default + Clone> PerCluster<T> {
-    /// `n` default-initialized slots.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        PerCluster {
-            slots: vec![T::default(); n],
-        }
-    }
-}
-
-impl<T> PerCluster<T> {
-    /// Number of slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether there are no slots.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Iterates the slots in cluster order.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.slots.iter()
-    }
-}
-
-impl<T> std::ops::Index<usize> for PerCluster<T> {
-    type Output = T;
-    fn index(&self, i: usize) -> &T {
-        &self.slots[i]
-    }
-}
-
-impl<T> std::ops::IndexMut<usize> for PerCluster<T> {
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut self.slots[i]
-    }
-}
-
-impl<'a, T> IntoIterator for &'a PerCluster<T> {
-    type Item = &'a T;
-    type IntoIter = std::slice::Iter<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.slots.iter()
-    }
-}
-
-impl PerCluster<u64> {
-    /// Sum over all slots.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.slots.iter().sum()
-    }
-
-    /// The counts accumulated since `base`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot counts differ.
-    #[must_use]
-    pub fn since(&self, base: &Self) -> Self {
-        assert_eq!(self.slots.len(), base.slots.len());
-        PerCluster {
-            slots: self
-                .slots
-                .iter()
-                .zip(&base.slots)
-                .map(|(a, b)| a - b)
-                .collect(),
-        }
-    }
-
-    /// JSON export as an array in slot order.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::Arr(self.slots.iter().map(|&v| Json::UInt(v)).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_since() {
-        let mut c = Counter::default();
-        c.add(5);
-        let snap = c;
-        c.incr();
-        c.incr();
-        assert_eq!(c.get(), 7);
-        assert_eq!(c.since(snap).get(), 2);
-    }
 
     #[test]
     fn histogram_buckets_are_pow2() {
@@ -339,17 +201,6 @@ mod tests {
         assert_eq!(d.samples(), 2);
         assert_eq!(d.sum(), 8);
         assert!((d.mean() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn per_cluster_arithmetic() {
-        let mut p = PerCluster::<u64>::new(4);
-        p[1] += 10;
-        p[3] += 2;
-        assert_eq!(p.total(), 12);
-        let base = p.clone();
-        p[1] += 5;
-        assert_eq!(p.since(&base).total(), 5);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::path::PathBuf;
 use wsrs_isa::fnv1a_64;
 
 use crate::file::TraceError;
-use crate::store::TraceStore;
+use crate::store::{write_atomic, TraceStore};
 
 /// Checkpoint file magic, embedding the first format generation.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"WSRSCKP1";
@@ -257,13 +257,7 @@ impl TraceStore {
     /// overwriting any previous file. Returns the bytes written.
     pub fn save_checkpoint(&self, record: &CheckpointRecord) -> Result<u64, TraceError> {
         let image = record.encode();
-        let name = record.key.file_name();
-        std::fs::create_dir_all(self.dir())?;
-        let tmp = self
-            .dir()
-            .join(format!("{name}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, &image)?;
-        std::fs::rename(&tmp, self.dir().join(name))?;
+        write_atomic(self.dir(), &record.key.file_name(), &image)?;
         Ok(image.len() as u64)
     }
 
@@ -336,7 +330,7 @@ mod tests {
         assert_eq!(CheckpointKey::parse_file_name("garbage.txt"), None);
         assert_eq!(CheckpointKey::parse_file_name("ck-1-2-3.wsck"), None);
         assert_eq!(
-            CheckpointKey::parse_file_name(&format!("{}.tmp.1", k.file_name())),
+            CheckpointKey::parse_file_name(&format!("{}.tmp.1.0", k.file_name())),
             None
         );
         assert_eq!(

@@ -56,4 +56,4 @@ pub use codec::{decode_block, encode_block, CodecError};
 pub use file::{
     encode, TraceError, TraceFile, TraceHeader, Uops, DEFAULT_BLOCK_UOPS, FORMAT_VERSION, MAGIC,
 };
-pub use store::{LoadedTrace, SavedTrace, TraceKey, TraceStore, TRACE_EXT};
+pub use store::{write_atomic, LoadedTrace, SavedTrace, TraceKey, TraceStore, TRACE_EXT};

@@ -3,10 +3,12 @@
 //! Files are named `{workload}-w{warmup}-m{measure}-{rev:016x}.wsrt`, so
 //! the lookup key *is* the filename: a kernel or emulator change alters
 //! `rev` and simply misses the stale file, which `trace rm --stale` can
-//! then garbage-collect. Saves are atomic (write to a temp file, then
-//! rename) so concurrent recorders never expose half-written traces.
+//! then garbage-collect. Saves are atomic ([`write_atomic`]: a temp file
+//! unique to the write, then a rename) so concurrent recorders never
+//! expose half-written traces.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use wsrs_isa::DynInst;
 
@@ -14,6 +16,29 @@ use crate::file::{self, TraceError, TraceFile, TraceHeader, DEFAULT_BLOCK_UOPS};
 
 /// Extension of trace files inside a store directory.
 pub const TRACE_EXT: &str = "wsrt";
+
+/// Per-process sequence number that makes every [`write_atomic`] temp
+/// name unique, even between threads writing the same target.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Writes `bytes` to `dir/name` atomically, creating `dir` if needed.
+///
+/// The bytes go to `<name>.tmp.<pid>.<n>` first and are then renamed onto
+/// `name`, so a reader sees either the previous file or the complete new
+/// one. `n` comes from a process-wide counter, so concurrent writers of one
+/// name never share a temp file (a shared one lets one writer's rename take
+/// another's file, or publish an image another writer is still
+/// rewriting). The temp file is removed if the write or the rename fails.
+pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let n = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!("{name}.tmp.{}.{n}", std::process::id()));
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, dir.join(name)));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
 
 /// The lookup key of one stored trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -157,15 +182,9 @@ impl TraceStore {
         };
         let image = file::encode(&header, uops);
         let checksum = file::checksum_of(&image);
-        let path = self.path_for(key);
-        std::fs::create_dir_all(&self.dir)?;
-        let tmp = self
-            .dir
-            .join(format!("{}.tmp.{}", key.file_name(), std::process::id()));
-        std::fs::write(&tmp, &image)?;
-        std::fs::rename(&tmp, &path)?;
+        write_atomic(&self.dir, &key.file_name(), &image)?;
         Ok(SavedTrace {
-            path,
+            path: self.path_for(key),
             checksum,
             bytes: image.len() as u64,
         })
@@ -264,6 +283,11 @@ mod tests {
             k.file_name(),
             "gzip-w6-m4-abcdef0123456789.wsrt".to_string()
         );
+        assert_eq!(
+            TraceKey::parse_file_name(&format!("{}.tmp.1.0", k.file_name())),
+            None,
+            "temp files are not traces"
+        );
         assert_eq!(TraceKey::parse_file_name(&k.file_name()), Some(k));
         assert_eq!(TraceKey::parse_file_name("garbage.txt"), None);
         assert_eq!(TraceKey::parse_file_name("x.wsrt"), None);
@@ -344,6 +368,55 @@ mod tests {
             }) => {}
             got => panic!("expected window mismatch, got {got:?}"),
         }
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_key_all_land() {
+        // Threads of one process recording the same trace (two jobs on a
+        // cold store) must each get `Ok`, and readers must only ever see
+        // a complete file.
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 25;
+        let store = temp_store("concurrent");
+        let us = uops(20_000);
+        let k = TraceKey {
+            warmup: 0,
+            measure: us.len() as u64,
+            ..key()
+        };
+        let start = std::sync::Barrier::new(THREADS);
+        let failures: Vec<String> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut failed = Vec::new();
+                        for _ in 0..ROUNDS {
+                            start.wait();
+                            if let Err(e) = store.save(&k, &us) {
+                                failed.push(format!("save: {e}"));
+                            }
+                            if let Err(e) = store.open(&k) {
+                                failed.push(format!("open: {e}"));
+                            }
+                        }
+                        failed
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        assert!(
+            failures.is_empty(),
+            "{} failures: {failures:?}",
+            failures.len()
+        );
+        assert_eq!(store.load(&k).expect("load after the race").uops, us);
+        let leftovers = std::fs::read_dir(store.dir()).unwrap().count();
+        assert_eq!(leftovers, 1, "temp files left behind");
         let _ = std::fs::remove_dir_all(store.dir());
     }
 }
