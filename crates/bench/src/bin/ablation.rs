@@ -19,7 +19,7 @@
 //! A representative subset of benchmarks keeps runtime moderate.
 
 use wsrs_bench::manifest::{
-    artifacts_dir, cell_record, repo_root, telemetry_on, trace_records, trace_stats, write_manifest,
+    artifacts_dir, cell_record, repo_root, telemetry_on, trace_records, write_manifest,
 };
 use wsrs_bench::{render_grid, run_grid, RunEnv, TraceProvenance};
 use wsrs_core::{AllocPolicy, FastForward, SimConfig};
@@ -223,15 +223,14 @@ fn main() {
         prov,
     );
 
-    use wsrs_core::SimConfigBuilder;
-    let win = |per: usize, rob: usize| {
-        SimConfigBuilder::from(SimConfig::wsrs(
+    let win = |per: usize, rob: usize| SimConfig {
+        window_per_cluster: per,
+        rob,
+        ..SimConfig::wsrs(
             512,
             AllocPolicy::RandomCommutative,
             RenameStrategy::ExactCount,
-        ))
-        .window(per, rob)
-        .build()
+        )
     };
     sweep(
         "a6",
@@ -290,7 +289,7 @@ fn main() {
         wall_secs: t0.elapsed().as_secs_f64(),
         cells: std::mem::take(cells),
         traces: trace_records(&provenance),
-        trace_cache: Some(trace_stats(&provenance)),
+        trace_cache: Some(provenance.counters),
     };
     match write_manifest(&manifest, &artifacts_dir()) {
         Ok(path) => eprintln!("wrote {}", path.display()),

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use wsrs_bench::windows::SMT_PER_THREAD;
 use wsrs_bench::TraceCache;
-use wsrs_core::{AllocPolicy, Report, SimConfig, SimConfigBuilder, Simulator};
+use wsrs_core::{AllocPolicy, Report, SimConfig, Simulator};
 use wsrs_regfile::RenameStrategy;
 use wsrs_workloads::Workload;
 
@@ -33,10 +33,9 @@ fn base() -> SimConfig {
 }
 
 fn main() {
-    let smt_cfg = SimConfigBuilder::from(base())
-        .threads(2)
-        .deadlock_recovery(true)
-        .build();
+    let mut smt_cfg = base();
+    smt_cfg.set_threads(2);
+    smt_cfg.deadlock_recovery = true;
     println!(
         "static §2.3 rule (2 threads x 80 logical vs {} regs/subset): {}\n",
         smt_cfg.renamer.per_subset(wsrs_isa::RegClass::Int),

@@ -7,13 +7,13 @@
 //! occupies a register only from issue to superseding-commit, so far fewer
 //! physical registers sustain the same 224-µop window.
 
-use wsrs_bench::{render_grid, run_cell, RunEnv};
-use wsrs_core::{SimConfig, SimConfigBuilder};
+use wsrs_bench::{render_grid, run_grid_full, RunEnv};
+use wsrs_core::SimConfig;
 use wsrs_regfile::RenameStrategy;
 use wsrs_workloads::Workload;
 
 fn main() {
-    let params = RunEnv::from_env().params;
+    let env = RunEnv::from_env();
     let subset = [
         Workload::Gzip,
         Workload::Crafty,
@@ -22,25 +22,41 @@ fn main() {
     ];
 
     let base = || SimConfig::write_specialized_rr(512, RenameStrategy::ExactCount);
-    let vp = |cap: usize| SimConfigBuilder::from(base()).virtual_physical(cap).build();
+    let vp = |cap: usize| {
+        let mut cfg = base();
+        cfg.set_virtual_physical(cap);
+        cfg
+    };
 
-    let configs: Vec<(String, SimConfig)> = std::iter::once(("WS 512".to_string(), base()))
-        .chain(
-            [36usize, 40, 48, 64, 96]
-                .iter()
-                .map(|&c| (format!("VP {c}/sub"), vp(c))),
-        )
+    let caps = [36usize, 40, 48, 64, 96];
+    let vp_names: Vec<String> = caps.iter().map(|c| format!("VP {c}/sub")).collect();
+    let configs: Vec<(&str, SimConfig)> = std::iter::once(("WS 512", base()))
+        .chain(vp_names.iter().zip(caps).map(|(n, c)| (n.as_str(), vp(c))))
         .collect();
-    let names: Vec<&str> = configs.iter().map(|(n, _)| n.as_str()).collect();
+    let names: Vec<&str> = configs.iter().map(|(n, _)| *n).collect();
 
-    let mut rows = Vec::new();
-    for w in subset {
-        let vals: Vec<f64> = configs
-            .iter()
-            .map(|(_, cfg)| run_cell(w, cfg, params).ipc())
-            .collect();
-        rows.push((w.name().to_string(), vals));
-    }
+    // Exact cells (no sampling spec), sharing one recorded trace per
+    // workload through the store.
+    let grid = run_grid_full(
+        &subset,
+        &configs,
+        env.params,
+        env.threads,
+        Some(env.store.clone()),
+        None,
+        &|_, _, _, _| {},
+    )
+    .reports;
+    let rows: Vec<(String, Vec<f64>)> = subset
+        .iter()
+        .zip(&grid)
+        .map(|(w, reports)| {
+            (
+                w.name().to_string(),
+                reports.iter().map(wsrs_core::Report::ipc).collect(),
+            )
+        })
+        .collect();
     println!(
         "{}",
         render_grid(

@@ -42,7 +42,7 @@ use wsrs_core::{
 };
 use wsrs_isa::{DynInst, UopSource};
 use wsrs_regfile::RenameStrategy;
-use wsrs_telemetry::{Json, SampledCell};
+use wsrs_telemetry::{Json, SampledCell, TraceCacheStats};
 use wsrs_trace::{CheckpointKey, CheckpointRecord, TraceError, TraceFile, TraceKey, TraceStore};
 use wsrs_workloads::Workload;
 
@@ -334,20 +334,6 @@ pub fn config_registry() -> Vec<(String, SimConfig)> {
     out
 }
 
-/// Runs one (workload, configuration) cell, emulating the workload's trace
-/// from scratch. Grid experiments should prefer [`run_grid`], which
-/// emulates each workload once and shares the trace across configurations.
-#[must_use]
-pub fn run_cell(w: Workload, cfg: &SimConfig, p: RunParams) -> Report {
-    Simulator::new(*cfg).run_measured(w.trace(), p.warmup, p.measure)
-}
-
-/// Runs one (workload, configuration) cell from an already-emulated trace.
-#[must_use]
-pub fn run_cell_cached(trace: &[DynInst], cfg: &SimConfig, p: RunParams) -> Report {
-    Simulator::new(*cfg).run_measured(trace.iter().copied(), p.warmup, p.measure)
-}
-
 /// How one workload's µop trace was obtained this run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceOrigin {
@@ -383,30 +369,13 @@ pub struct TraceSource {
     pub bytes: u64,
 }
 
-/// Aggregate [`TraceCache`] counters for one run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceCacheCounters {
-    /// Checkouts served from the in-memory tier.
-    pub mem_hits: u64,
-    /// Builds served by replaying an on-disk trace file.
-    pub disk_hits: u64,
-    /// Builds that fell through to the functional emulator.
-    pub misses: u64,
-    /// In-memory entries evicted after their last expected use.
-    pub evictions: u64,
-    /// Trace-file bytes read from the store.
-    pub bytes_read: u64,
-    /// Trace-file bytes written to the store.
-    pub bytes_written: u64,
-}
-
 /// Everything a grid run knows about where its traces came from:
 /// per-workload sources (first acquisition wins) plus the cache counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceProvenance {
     /// One entry per workload, sorted by workload name.
     pub sources: Vec<TraceSource>,
-    pub counters: TraceCacheCounters,
+    pub counters: TraceCacheStats,
 }
 
 impl TraceProvenance {
@@ -524,7 +493,7 @@ pub struct TraceCache {
     store: Option<TraceStore>,
     entries: Mutex<HashMap<Workload, TraceEntry>>,
     built: Condvar,
-    counters: Mutex<TraceCacheCounters>,
+    counters: Mutex<TraceCacheStats>,
     /// First-acquisition provenance per workload.
     sources: Mutex<Vec<TraceSource>>,
 }
@@ -539,7 +508,7 @@ impl TraceCache {
             store: None,
             entries: Mutex::new(HashMap::new()),
             built: Condvar::new(),
-            counters: Mutex::new(TraceCacheCounters::default()),
+            counters: Mutex::new(TraceCacheStats::default()),
             sources: Mutex::new(Vec::new()),
         }
     }
@@ -1020,42 +989,94 @@ impl CellJob {
 
     /// Parses the wire form, resolving `config` against `registry` (see
     /// [`config_registry`]) and defaulting an absent window to `params`.
-    /// `None` on unknown workload/config names or malformed fields.
-    #[must_use]
+    /// Absent optional fields take their defaults; a field that is
+    /// present but malformed is an error, never a default.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the field: a missing or unknown workload/config,
+    /// a malformed window or `batch` flag, a zero `measure` (see
+    /// [`window_from_json`]), or a `sample` object with a missing, zero
+    /// or malformed field.
     pub fn from_json(
         v: &Json,
         registry: &[(String, SimConfig)],
         params: RunParams,
-    ) -> Option<CellJob> {
-        let workload: Workload = v.get("workload")?.as_str()?.parse().ok()?;
-        let name = v.get("config")?.as_str()?;
-        let config = registry.iter().find(|(n, _)| n == name).map(|(_, c)| *c)?;
-        Some(CellJob {
+    ) -> Result<CellJob, String> {
+        let name_of = |key: &str| match v.get(key) {
+            None => Err(format!("missing '{key}'")),
+            Some(x) => x.as_str().ok_or(format!("'{key}' must be a string")),
+        };
+        let workload_name = name_of("workload")?;
+        let workload: Workload = workload_name
+            .parse()
+            .map_err(|_| format!("unknown workload '{workload_name}'"))?;
+        let name = name_of("config")?;
+        let config = registry
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, c)| *c)
+            .ok_or(format!("unknown config '{name}'"))?;
+        let batch_hint = match v.get("batch") {
+            None => true,
+            Some(b) => b.as_bool().ok_or("'batch' must be a boolean")?,
+        };
+        let sample = v.get("sample").map(sample_from_json).transpose()?;
+        Ok(CellJob {
             workload,
             config_name: name.to_string(),
             config,
-            params: RunParams {
-                warmup: v
-                    .get("warmup")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(params.warmup),
-                measure: v
-                    .get("measure")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(params.measure),
-            },
-            batch_hint: v.get("batch").and_then(Json::as_bool).unwrap_or(true),
-            // Tolerant like the manifest's optional cell fields: absent
-            // (or malformed) means an exact cell.
-            sample: v.get("sample").and_then(|s| {
-                Some(SampleSpec {
-                    intervals: u32::try_from(s.get("intervals")?.as_u64()?).ok()?,
-                    interval_uops: s.get("interval_uops")?.as_u64()?,
-                    detail_warmup: s.get("detail_warmup")?.as_u64()?,
-                })
-            }),
+            params: window_from_json(v, params)?,
+            batch_hint,
+            sample,
         })
     }
+}
+
+/// Reads the optional `warmup`/`measure` fields of a job or cell object,
+/// defaulting each absent one to `defaults`.
+///
+/// # Errors
+///
+/// A message naming the field when it is present but not a non-negative
+/// integer, or when the resulting `measure` is zero (an empty measured
+/// region has nothing to report, and no sampling plan).
+pub fn window_from_json(v: &Json, defaults: RunParams) -> Result<RunParams, String> {
+    let field = |key: &str, default: u64| match v.get(key) {
+        None => Ok(default),
+        Some(x) => x
+            .as_u64()
+            .ok_or(format!("'{key}' must be a non-negative integer")),
+    };
+    let params = RunParams {
+        warmup: field("warmup", defaults.warmup)?,
+        measure: field("measure", defaults.measure)?,
+    };
+    if params.measure == 0 {
+        return Err("'measure' must be positive".to_string());
+    }
+    Ok(params)
+}
+
+/// Parses a cell's `sample` object: all three fields present and
+/// positive.
+fn sample_from_json(s: &Json) -> Result<SampleSpec, String> {
+    if !matches!(s, Json::Obj(_)) {
+        return Err("'sample' must be an object".to_string());
+    }
+    let positive = |key: &str| match s.get(key) {
+        None => Err(format!("missing 'sample.{key}'")),
+        Some(x) => x
+            .as_u64()
+            .filter(|&n| n > 0)
+            .ok_or(format!("'sample.{key}' must be a positive integer")),
+    };
+    Ok(SampleSpec {
+        intervals: u32::try_from(positive("intervals")?)
+            .map_err(|_| "'sample.intervals' is too large".to_string())?,
+        interval_uops: positive("interval_uops")?,
+        detail_warmup: positive("detail_warmup")?,
+    })
 }
 
 /// One finished cell, as handed to a [`CellQueue`] result sink.
@@ -1687,12 +1708,67 @@ mod tests {
         assert!(parsed.batch_hint);
 
         assert_eq!(rr256.content_hash(), parsed.config.content_hash());
-        assert!(CellJob::from_json(
-            &Json::parse("{\"workload\":\"gzip\",\"config\":\"nonesuch\"}").unwrap(),
-            &registry,
-            params
-        )
-        .is_none());
+    }
+
+    /// Absent optional fields default; present-but-malformed ones are
+    /// errors that name the field.
+    #[test]
+    fn cell_job_parse_errors_name_the_field() {
+        let params = RunParams {
+            warmup: 1_000,
+            measure: 2_000,
+        };
+        let registry = config_registry();
+        let parse = |extra: &str| {
+            let body = format!("{{\"workload\":\"gzip\",\"config\":\"RR 256\"{extra}}}");
+            CellJob::from_json(&Json::parse(&body).unwrap(), &registry, params)
+        };
+        let plain = parse("").unwrap();
+        assert!(plain.batch_hint && plain.sample.is_none());
+        let sampled =
+            parse(",\"sample\":{\"intervals\":4,\"interval_uops\":500,\"detail_warmup\":100}");
+        assert_eq!(sampled.unwrap().sample.unwrap().intervals, 4);
+
+        for (extra, field) in [
+            (",\"warmup\":\"abc\"", "'warmup'"),
+            (",\"warmup\":-1", "'warmup'"),
+            (",\"measure\":1.5", "'measure'"),
+            (",\"measure\":0", "'measure'"),
+            (",\"batch\":1", "'batch'"),
+            (",\"sample\":7", "'sample'"),
+            (
+                ",\"sample\":{\"intervals\":4,\"interval_uops\":500}",
+                "'sample.detail_warmup'",
+            ),
+            (
+                ",\"sample\":{\"intervals\":0,\"interval_uops\":500,\"detail_warmup\":1}",
+                "'sample.intervals'",
+            ),
+            (
+                ",\"sample\":{\"intervals\":4294967296,\"interval_uops\":5,\"detail_warmup\":1}",
+                "'sample.intervals'",
+            ),
+        ] {
+            let err = parse(extra).expect_err(extra);
+            assert!(err.contains(field), "{extra}: {err}");
+        }
+        let bare = |body: &str| CellJob::from_json(&Json::parse(body).unwrap(), &registry, params);
+        for (body, field) in [
+            ("{\"config\":\"RR 256\"}", "'workload'"),
+            ("{\"workload\":3,\"config\":\"RR 256\"}", "'workload'"),
+            (
+                "{\"workload\":\"nonesuch\",\"config\":\"RR 256\"}",
+                "'nonesuch'",
+            ),
+            ("{\"workload\":\"gzip\"}", "'config'"),
+            (
+                "{\"workload\":\"gzip\",\"config\":\"nonesuch\"}",
+                "'nonesuch'",
+            ),
+        ] {
+            let err = bare(body).expect_err(body);
+            assert!(err.contains(field), "{body}: {err}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::{RunParams, SampleOutcome, TraceProvenance};
 use std::path::{Path, PathBuf};
 use wsrs_core::{Report, SimConfig};
 use wsrs_telemetry::manifest::{config_hash, git_revision, SCHEMA_VERSION};
-use wsrs_telemetry::{CellRecord, RunManifest, TraceCacheStats, TraceRecord};
+use wsrs_telemetry::{CellRecord, RunManifest, TraceRecord};
 use wsrs_workloads::Workload;
 
 /// The repository root, anchored at this crate's location at compile time.
@@ -133,9 +133,8 @@ pub fn grid_manifest(
             ));
         }
     }
-    let (traces, trace_cache) = provenance.map_or((Vec::new(), None), |p| {
-        (trace_records(p), Some(trace_stats(p)))
-    });
+    let (traces, trace_cache) =
+        provenance.map_or((Vec::new(), None), |p| (trace_records(p), Some(p.counters)));
     let experiment = if any_sampled {
         format!("{experiment}-sampled")
     } else {
@@ -167,20 +166,6 @@ pub fn trace_records(p: &TraceProvenance) -> Vec<TraceRecord> {
             bytes: s.bytes,
         })
         .collect()
-}
-
-/// Converts a grid run's cache counters into manifest stats.
-#[must_use]
-pub fn trace_stats(p: &TraceProvenance) -> TraceCacheStats {
-    let c = p.counters;
-    TraceCacheStats {
-        mem_hits: c.mem_hits,
-        disk_hits: c.disk_hits,
-        misses: c.misses,
-        evictions: c.evictions,
-        bytes_read: c.bytes_read,
-        bytes_written: c.bytes_written,
-    }
 }
 
 /// Writes `m` as `BENCH_<experiment>.json` under `dir`; returns the path.

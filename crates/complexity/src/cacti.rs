@@ -18,7 +18,7 @@
 //! script lives in `DESIGN.md`); the surrogate reproduces the published
 //! access times within ~2 %, and is monotone
 //! in entries, read ports and write ports over the sweep ranges used by
-//! the benches. Treat absolute numbers as CACTI-2.0-equivalents at the
+//! the experiment binaries. Treat absolute numbers as CACTI-2.0-equivalents at the
 //! paper's 10 GHz technology point, not as predictions for a real process.
 
 use crate::org::RegFileOrg;

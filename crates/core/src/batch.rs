@@ -5,11 +5,11 @@
 //! through a family of sibling configurations. Run scalar, every cell
 //! re-walks the trace and re-runs the direction predictor — per-µop work
 //! that depends only on *trace order*, never on any machine's timing.
-//! The batched path hoists it: [`annotate`] runs the family's predictor
+//! The batched path hoists it: `annotate` runs the family's predictor
 //! once over the shared trace, recording per-µop `(cond_branch,
 //! mispredicted)` outcomes, and each lane's fetch replays those flags
 //! instead of predicting. Lane timing state stays fully independent —
-//! each lane owns its engine ([`crate::slots::Rob`] lanes keyed by
+//! each lane owns its engine (`Rob` lanes keyed by
 //! `(config_lane, seq)`, its own `CalendarWheel` and waiter lists) — so
 //! every lane's [`Report`] is bit-identical to its scalar run; the
 //! lockstep differential fuzz in `tests/proptest_scheduler.rs` enforces

@@ -420,6 +420,22 @@ impl SimConfig {
         h.finish()
     }
 
+    /// Configures `n` hardware threads (SMT), keeping the renamer's
+    /// map-table count in sync.
+    pub fn set_threads(&mut self, n: usize) {
+        self.threads = n;
+        self.renamer.threads = n;
+    }
+
+    /// Enables virtual-physical registers with `per_subset` physical
+    /// registers per class and subset. The renamer's budgets are switched
+    /// to a large virtual tag space (4096 tags per subset per class).
+    pub fn set_virtual_physical(&mut self, per_subset: usize) {
+        self.vp_phys_per_subset = Some(per_subset);
+        self.renamer.int_regs = 4096 * self.renamer.subsets;
+        self.renamer.fp_regs = 4096 * self.renamer.subsets;
+    }
+
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -456,163 +472,17 @@ impl SimConfig {
     }
 }
 
-/// Builder for customized [`SimConfig`]s, starting from any preset.
-///
-/// # Example
-///
-/// ```
-/// use wsrs_core::{AllocPolicy, SimConfig, SimConfigBuilder, FastForward};
-/// use wsrs_regfile::RenameStrategy;
-///
-/// let cfg = SimConfigBuilder::from(SimConfig::wsrs(
-///         512, AllocPolicy::RandomCommutative, RenameStrategy::ExactCount))
-///     .fast_forward(FastForward::AdjacentPair)
-///     .seed(42)
-///     .mispredict_penalty(20)
-///     .deadlock_recovery(true)
-///     .build();
-/// assert_eq!(cfg.seed, 42);
-/// ```
-#[derive(Clone, Debug)]
-pub struct SimConfigBuilder {
-    cfg: SimConfig,
-}
-
-impl From<SimConfig> for SimConfigBuilder {
-    fn from(cfg: SimConfig) -> Self {
-        SimConfigBuilder { cfg }
-    }
-}
-
-impl SimConfigBuilder {
-    /// Starts from the conventional round-robin baseline.
-    #[must_use]
-    pub fn conventional(int_regs: usize) -> Self {
-        SimConfig::conventional_rr(int_regs).into()
-    }
-
-    /// Sets the policy RNG seed.
-    pub fn seed(&mut self, seed: u64) -> &mut Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the bypass reach.
-    pub fn fast_forward(&mut self, ff: FastForward) -> &mut Self {
-        self.cfg.fast_forward = ff;
-        self
-    }
-
-    /// Sets the minimum misprediction penalty in cycles.
-    pub fn mispredict_penalty(&mut self, cycles: u64) -> &mut Self {
-        self.cfg.min_mispredict_penalty = cycles;
-        self
-    }
-
-    /// Sets the memory hierarchy.
-    pub fn hierarchy(&mut self, h: HierarchyConfig) -> &mut Self {
-        self.cfg.hierarchy = h;
-        self
-    }
-
-    /// Overrides the integer/FP physical register budgets.
-    pub fn registers(&mut self, int_regs: usize, fp_regs: usize) -> &mut Self {
-        self.cfg.renamer.int_regs = int_regs;
-        self.cfg.renamer.fp_regs = fp_regs;
-        self
-    }
-
-    /// Sets the cluster allocation policy.
-    pub fn policy(&mut self, policy: AllocPolicy) -> &mut Self {
-        self.cfg.policy = policy;
-        self
-    }
-
-    /// Sets the per-cluster in-flight window and total ROB size together.
-    pub fn window(&mut self, per_cluster: usize, rob: usize) -> &mut Self {
-        self.cfg.window_per_cluster = per_cluster;
-        self.cfg.rob = rob;
-        self
-    }
-
-    /// Enables the §2.3 deadlock-recovery exception.
-    pub fn deadlock_recovery(&mut self, on: bool) -> &mut Self {
-        self.cfg.deadlock_recovery = on;
-        self
-    }
-
-    /// Sets the conditional-branch direction predictor.
-    pub fn predictor(&mut self, kind: PredictorKind) -> &mut Self {
-        self.cfg.predictor = kind;
-        self
-    }
-
-    /// Configures `n` hardware threads (SMT); keeps the renamer's map-table
-    /// count in sync.
-    pub fn threads(&mut self, n: usize) -> &mut Self {
-        self.cfg.threads = n;
-        self.cfg.renamer.threads = n;
-        self
-    }
-
-    /// Enables the §2.3 workaround (a): exhaustion-avoiding allocation.
-    pub fn avoid_exhaustion(&mut self, on: bool) -> &mut Self {
-        self.cfg.avoid_exhaustion = on;
-        self
-    }
-
-    /// Enables full-pipeline cycle attribution (see `wsrs-telemetry`).
-    pub fn telemetry(&mut self, on: bool) -> &mut Self {
-        self.cfg.telemetry = on;
-        self
-    }
-
-    /// Enables virtual-physical registers with `per_subset` physical
-    /// registers per class and subset. The renamer's budgets are switched
-    /// to a large virtual tag space (4096 tags per subset per class).
-    pub fn virtual_physical(&mut self, per_subset: usize) -> &mut Self {
-        self.cfg.vp_phys_per_subset = Some(per_subset);
-        let subsets = self.cfg.renamer.subsets;
-        self.cfg.renamer.int_regs = 4096 * subsets;
-        self.cfg.renamer.fp_regs = 4096 * subsets;
-        self
-    }
-
-    /// Finishes, validating the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent
-    /// (see [`SimConfig::validate`]).
-    #[must_use]
-    pub fn build(&self) -> SimConfig {
-        self.cfg.validate();
-        self.cfg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn builder_round_trips_and_validates() {
-        let cfg = SimConfigBuilder::conventional(256)
-            .seed(7)
-            .mispredict_penalty(12)
-            .registers(320, 160)
-            .window(56, 200)
-            .build();
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.min_mispredict_penalty, 12);
-        assert_eq!(cfg.renamer.int_regs, 320);
-        assert_eq!(cfg.rob_size(), 200);
-    }
-
-    #[test]
     #[should_panic]
-    fn builder_rejects_inconsistent_window() {
-        let _ = SimConfigBuilder::conventional(256).window(10, 200).build();
+    fn validate_rejects_inconsistent_window() {
+        let mut cfg = SimConfig::conventional_rr(256);
+        cfg.window_per_cluster = 10;
+        cfg.rob = 200;
+        cfg.validate();
     }
 
     #[test]

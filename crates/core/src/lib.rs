@@ -75,7 +75,7 @@ pub fn sim_revision() -> u64 {
 pub use alloc::{AllocPolicy, ClusterChoice};
 pub use batch::{lockstep_compatible, run_lockstep};
 pub use cluster::{ClusterId, FuKind, Resources};
-pub use config::{FastForward, RegCache, RegFileMode, SimConfig, SimConfigBuilder};
+pub use config::{FastForward, RegCache, RegFileMode, SimConfig};
 pub use metrics::{Report, UnbalanceTracker};
 pub use pipeview::UopTiming;
 pub use sample::{

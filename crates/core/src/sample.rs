@@ -19,7 +19,7 @@
 //!   a pure function of the trace prefix (timing never feeds back into
 //!   it — the same property the batched lockstep path exploits), and
 //!   cache residency/recency depend only on the access sequence, not on
-//!   when accesses happen. [`Warmer`] advances exactly this state.
+//!   when accesses happen. `Warmer` advances exactly this state.
 //! * **Unbounded horizon, WSRS only**: the *architectural subset map* —
 //!   which register-file subset each logical register was last written
 //!   into. On a WSRS machine cluster placement is constrained by operand
@@ -29,7 +29,7 @@
 //!   slowly for a detailed warmup to fix. Worse, the map's steady state is
 //!   *draw-sequence-sensitive* (the same cell's exact IPC moves several
 //!   percent across policy-RNG seeds), so a statistical imitation is not
-//!   enough. [`MapWarmer`] therefore replays the engine's placement
+//!   enough. `MapWarmer` therefore replays the engine's placement
 //!   choices *exactly* — it owns a real `Allocator`, draws once per µop in
 //!   trace order like the rename stage, and checkpoints both the map and
 //!   the RNG position; the interval engine is seeded with the warmed

@@ -21,10 +21,10 @@
 //! Because only the correct path is fetched, mispredictions are pure
 //! timing events and no squash machinery exists anywhere in the engine.
 //!
-//! The engine advances through [`Engine::step`] — exactly one cycle per
+//! The engine advances through `Engine::step` — exactly one cycle per
 //! call — so a driver can interleave many engines over one trace (the
 //! batched lockstep path, [`crate::batch`]). Front-end direction
-//! prediction lives behind [`FetchStream`]: prediction depends only on
+//! prediction lives behind `FetchStream`: prediction depends only on
 //! trace order, never on timing, so the batched driver annotates a shared
 //! trace once and fans the per-µop outcomes out to every lane, while the
 //! scalar path predicts inline as it pulls from its iterator.
@@ -211,7 +211,7 @@ impl Simulator {
 
     /// Runs the trace to exhaustion (plus pipeline drain) and reports.
     pub fn run(&self, trace: impl IntoIterator<Item = DynInst>) -> Report {
-        Engine::new(&self.config).run(trace.into_iter(), 0)
+        Engine::new(&self.config).run(vec![trace.into_iter()], 0, None)
     }
 
     /// Runs `warmup + measure` µops of the trace, warming predictors,
@@ -227,14 +227,14 @@ impl Simulator {
         measure: u64,
     ) -> Report {
         let bounded = trace.into_iter().take((warmup + measure) as usize);
-        Engine::new(&self.config).run(bounded, warmup)
+        Engine::new(&self.config).run(vec![bounded], warmup, None)
     }
 
     /// Like [`Simulator::run_measured`], but forcing the retained O(window)
     /// selection scan instead of the event-driven scheduler. Bit-identical
     /// to [`Simulator::run_measured`] by construction — exposed as the
     /// differential-testing oracle for the wheel + intrusive-list engine
-    /// (see `tests/proptest_scheduler.rs` and the `scheduler` bench).
+    /// (see `tests/proptest_scheduler.rs`).
     pub fn run_measured_scan_oracle(
         &self,
         trace: impl IntoIterator<Item = DynInst>,
@@ -244,7 +244,7 @@ impl Simulator {
         let bounded = trace.into_iter().take((warmup + measure) as usize);
         let mut engine = Engine::new(&self.config);
         engine.force_scan = true;
-        engine.run(bounded, warmup)
+        engine.run(vec![bounded], warmup, None)
     }
 
     /// Like [`Simulator::run_measured`], but forcing the cycle-by-cycle
@@ -260,7 +260,7 @@ impl Simulator {
         let bounded = trace.into_iter().take((warmup + measure) as usize);
         let mut engine = Engine::new(&self.config);
         engine.allow_skip = false;
-        engine.run(bounded, warmup)
+        engine.run(vec![bounded], warmup, None)
     }
 
     /// Runs an SMT machine: one trace per hardware thread
@@ -274,11 +274,8 @@ impl Simulator {
     where
         I: IntoIterator<Item = DynInst>,
     {
-        let boxed: Vec<Box<dyn Iterator<Item = DynInst>>> = traces
-            .into_iter()
-            .map(|t| Box::new(t.into_iter()) as Box<dyn Iterator<Item = DynInst>>)
-            .collect();
-        Engine::new(&self.config).run_inner(boxed, 0, None)
+        let traces: Vec<I::IntoIter> = traces.into_iter().map(IntoIterator::into_iter).collect();
+        Engine::new(&self.config).run(traces, 0, None)
     }
 
     /// Runs like [`Simulator::run`] while recording per-µop pipeline
@@ -292,7 +289,7 @@ impl Simulator {
         let mut engine = Engine::new(&self.config);
         engine.timeline = Some((Vec::with_capacity(uop_limit.min(4096)), uop_limit));
         let mut out = Vec::new();
-        let report = engine.run_collecting(trace.into_iter(), &mut out);
+        let report = engine.run(vec![trace.into_iter()], 0, Some(&mut out));
         (report, out)
     }
 }
@@ -378,8 +375,8 @@ pub(crate) struct Engine<'a> {
     /// Forces the legacy O(window) scan even without virtual-physical
     /// registers (test oracle for the event scheduler).
     pub(crate) force_scan: bool,
-    /// Per-thread trace exhaustion (formerly a `run_inner` local; a field
-    /// so [`Engine::step`] can be driven cycle-by-cycle).
+    /// Per-thread trace exhaustion (a field so [`Engine::step`] can be
+    /// driven cycle-by-cycle).
     trace_done: Vec<bool>,
     /// Retired-µop threshold at which the warmup snapshot is taken.
     warmup: u64,
@@ -581,24 +578,11 @@ impl<'a> Engine<'a> {
         v
     }
 
-    /// Runs to completion, moving any collected timeline into `out`.
-    fn run_collecting<T: Iterator<Item = DynInst>>(
-        self,
-        trace: T,
-        out: &mut Vec<UopTiming>,
-    ) -> Report {
-        self.run_inner(vec![trace], 0, Some(out))
-    }
-
-    fn run<T: Iterator<Item = DynInst>>(self, trace: T, warmup: u64) -> Report {
-        self.run_inner(vec![trace], warmup, None)
-    }
-
-    /// Monomorphized driver: `T` is the concrete trace iterator, so the
-    /// common single-thread path (grid cells replaying recorded traces)
-    /// pays no dynamic dispatch per µop; the SMT entry points pass
-    /// `Box<dyn Iterator>` as `T`.
-    fn run_inner<T: Iterator<Item = DynInst>>(
+    /// Runs one trace per hardware thread to completion (plus pipeline
+    /// drain), moving any collected timeline into `timeline_out`.
+    /// Monomorphized over the concrete trace iterator `T`, so no entry
+    /// point pays dynamic dispatch per µop.
+    fn run<T: Iterator<Item = DynInst>>(
         mut self,
         traces: Vec<T>,
         warmup: u64,
@@ -2218,11 +2202,11 @@ mod tests {
             )),
             kernel(),
         );
-        let vp_cfg = crate::config::SimConfigBuilder::from(perfect(
-            SimConfig::write_specialized_rr(512, RenameStrategy::ExactCount),
-        ))
-        .virtual_physical(40)
-        .build();
+        let mut vp_cfg = perfect(SimConfig::write_specialized_rr(
+            512,
+            RenameStrategy::ExactCount,
+        ));
+        vp_cfg.set_virtual_physical(40);
         let vp = run_cfg(vp_cfg, kernel());
         assert_eq!(vp.uops, plain.uops);
         assert!(!vp.deadlocked);
@@ -2242,9 +2226,7 @@ mod tests {
             512,
             RenameStrategy::ExactCount,
         ));
-        cfg.vp_phys_per_subset = Some(21);
-        cfg.renamer.int_regs = 4096 * 4;
-        cfg.renamer.fp_regs = 4096 * 4;
+        cfg.set_virtual_physical(21);
         let mut a = Assembler::new();
         let (i, n) = (Reg::new(1), Reg::new(2));
         a.li(i, 0);
@@ -2261,14 +2243,14 @@ mod tests {
     }
 
     fn smt_cfg(int_regs: usize) -> SimConfig {
-        crate::config::SimConfigBuilder::from(perfect(SimConfig::wsrs(
+        let mut cfg = perfect(SimConfig::wsrs(
             int_regs,
             AllocPolicy::RandomCommutative,
             RenameStrategy::ExactCount,
-        )))
-        .threads(2)
-        .deadlock_recovery(true)
-        .build()
+        ));
+        cfg.set_threads(2);
+        cfg.deadlock_recovery = true;
+        cfg
     }
 
     fn int_loop(iters: i64, regs: std::ops::Range<u8>) -> Assembler {
@@ -2638,10 +2620,18 @@ mod tests {
             )),
         ];
         for (ci, cfg) in configs.into_iter().enumerate() {
-            let event = Engine::new(&cfg).run(Emulator::new(mixed_kernel().assemble(), 1 << 20), 0);
+            let event = Engine::new(&cfg).run(
+                vec![Emulator::new(mixed_kernel().assemble(), 1 << 20)],
+                0,
+                None,
+            );
             let mut oracle = Engine::new(&cfg);
             oracle.force_scan = true;
-            let scan = oracle.run(Emulator::new(mixed_kernel().assemble(), 1 << 20), 0);
+            let scan = oracle.run(
+                vec![Emulator::new(mixed_kernel().assemble(), 1 << 20)],
+                0,
+                None,
+            );
             assert_eq!(
                 format!("{event:?}"),
                 format!("{scan:?}"),
@@ -2659,21 +2649,22 @@ mod tests {
             let mut e = Engine::new(&cfg);
             e.force_scan = force_scan;
             e.run(
-                Emulator::new(mixed_kernel().assemble(), 1 << 20).take(3000),
+                vec![Emulator::new(mixed_kernel().assemble(), 1 << 20).take(3000)],
                 1000,
+                None,
             )
         };
         assert_eq!(format!("{:?}", warm(false)), format!("{:?}", warm(true)));
 
         let smt = smt_cfg(512);
         let run = |force_scan: bool| {
-            let traces: Vec<Box<dyn Iterator<Item = DynInst>>> = vec![
-                Box::new(Emulator::new(int_loop(500, 1..6).assemble(), 1 << 16)),
-                Box::new(Emulator::new(int_loop(400, 10..20).assemble(), 1 << 16)),
+            let traces = vec![
+                Emulator::new(int_loop(500, 1..6).assemble(), 1 << 16),
+                Emulator::new(int_loop(400, 10..20).assemble(), 1 << 16),
             ];
             let mut e = Engine::new(&smt);
             e.force_scan = force_scan;
-            e.run_inner(traces, 0, None)
+            e.run(traces, 0, None)
         };
         assert_eq!(format!("{:?}", run(false)), format!("{:?}", run(true)));
 
@@ -2683,13 +2674,13 @@ mod tests {
         let mut smt = smt_cfg(512);
         smt.hierarchy = HierarchyConfig::paper();
         let run = |force_scan: bool| {
-            let traces: Vec<Box<dyn Iterator<Item = DynInst>>> = vec![
-                Box::new(Workload::Swim.trace().take(20_000)),
-                Box::new(Workload::Applu.trace().take(20_000)),
+            let traces = vec![
+                Workload::Swim.trace().take(20_000),
+                Workload::Applu.trace().take(20_000),
             ];
             let mut e = Engine::new(&smt);
             e.force_scan = force_scan;
-            e.run_inner(traces, 0, None)
+            e.run(traces, 0, None)
         };
         let event = run(false);
         assert!(event.memory.l1.misses > 100, "kernels must reach memory");
@@ -2729,10 +2720,10 @@ mod tests {
         a.blt(i, n, top);
         a.halt();
         let prog = a.assemble();
-        let event = Engine::new(&cfg).run(Emulator::new(prog.clone(), 1 << 20), 0);
+        let event = Engine::new(&cfg).run(vec![Emulator::new(prog.clone(), 1 << 20)], 0, None);
         let mut oracle = Engine::new(&cfg);
         oracle.force_scan = true;
-        let scan = oracle.run(Emulator::new(prog, 1 << 20), 0);
+        let scan = oracle.run(vec![Emulator::new(prog, 1 << 20)], 0, None);
         assert!(event.memory.l2.misses > 50, "kernel must actually miss L2");
         assert_eq!(format!("{event:?}"), format!("{scan:?}"));
     }

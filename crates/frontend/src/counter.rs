@@ -19,12 +19,6 @@ impl Counter2 {
         self.0 >= 2
     }
 
-    /// Whether the counter is in a saturated (strong) state.
-    #[must_use]
-    pub fn is_strong(self) -> bool {
-        self.0 == 0 || self.0 == 3
-    }
-
     /// Moves the counter toward `taken`.
     #[inline]
     pub fn update(&mut self, taken: bool) {
@@ -160,7 +154,6 @@ mod tests {
         }
         assert_eq!(c.raw(), 3);
         assert!(c.predict());
-        assert!(c.is_strong());
         for _ in 0..10 {
             c.update(false);
         }

@@ -9,7 +9,6 @@
 //! * [`TwoBcGskew`] — the 512 Kbit 2Bc-gskew predictor (bimodal + two
 //!   skewed gshare banks + meta chooser, partial update);
 //! * [`Bimodal`] and [`Gshare`] — simpler predictors used for ablations;
-//! * [`ReturnStack`] — a return-address stack;
 //! * the [`DirectionPredictor`] trait the timing simulator is generic over.
 //!
 //! # Example
@@ -32,14 +31,12 @@ pub mod counter;
 pub mod gshare;
 pub mod gskew;
 pub mod kind;
-pub mod ras;
 
 pub use bimodal::Bimodal;
 pub use counter::{Counter2, CounterTable};
 pub use gshare::Gshare;
 pub use gskew::TwoBcGskew;
 pub use kind::{AlwaysTaken, PredictorKind};
-pub use ras::ReturnStack;
 
 /// A conditional-branch direction predictor.
 ///
@@ -75,7 +72,7 @@ pub trait DirectionPredictor {
 }
 
 /// Measured accuracy of a predictor over a branch stream; convenience used
-/// by tests, examples and benches.
+/// by tests and examples.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Accuracy {
     /// Number of predicted branches.

@@ -2,7 +2,7 @@
 //! learning guarantees on arbitrary branch streams.
 
 use proptest::prelude::*;
-use wsrs_frontend::{Accuracy, Bimodal, DirectionPredictor, Gshare, ReturnStack, TwoBcGskew};
+use wsrs_frontend::{Accuracy, Bimodal, DirectionPredictor, Gshare, TwoBcGskew};
 
 fn exercise<P: DirectionPredictor>(p: &mut P, stream: &[(u64, bool)]) -> Accuracy {
     let mut acc = Accuracy::default();
@@ -75,25 +75,5 @@ proptest! {
             skew >= bim.min(gsh) - 0.03,
             "gskew {skew} vs bimodal {bim} / gshare {gsh}"
         );
-    }
-
-    /// The return stack is LIFO-correct for any pattern of balanced
-    /// call/return nesting within its capacity.
-    #[test]
-    fn return_stack_matches_model(depths in prop::collection::vec(1usize..8, 1..40)) {
-        let mut ras = ReturnStack::new(64);
-        let mut model = Vec::new();
-        let mut next_addr = 0u64;
-        for &d in &depths {
-            for _ in 0..d {
-                ras.push(next_addr);
-                model.push(next_addr);
-                next_addr += 1;
-            }
-            for _ in 0..d {
-                prop_assert_eq!(ras.pop(), model.pop());
-            }
-        }
-        prop_assert_eq!(ras.depth(), 0);
     }
 }

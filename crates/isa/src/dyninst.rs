@@ -62,15 +62,6 @@ impl DynInst {
         }
     }
 
-    /// The single source of a monadic µop, whichever position it occupies.
-    #[must_use]
-    pub fn monadic_src(&self) -> Option<RegRef> {
-        match (self.srcs[0], self.srcs[1]) {
-            (Some(r), None) | (None, Some(r)) => Some(r),
-            _ => None,
-        }
-    }
-
     /// Whether this µop ends a basic block (any control transfer).
     #[must_use]
     pub fn is_control(&self) -> bool {
@@ -94,15 +85,6 @@ impl DynInst {
     pub fn is_store(&self) -> bool {
         self.class == OpClass::Store
     }
-
-    /// Returns a copy with the two source operands swapped (the "second
-    /// form" executed by commutative clusters, paper §3.3).
-    #[must_use]
-    pub fn with_swapped_operands(&self) -> Self {
-        let mut d = *self;
-        d.srcs.swap(0, 1);
-        d
-    }
 }
 
 #[cfg(test)]
@@ -118,23 +100,5 @@ mod tests {
         assert_eq!(d.arity(), Arity::Monadic);
         d.srcs[1] = Some(Reg::new(2).into());
         assert_eq!(d.arity(), Arity::Dyadic);
-    }
-
-    #[test]
-    fn monadic_src_found_in_either_slot() {
-        let mut d = DynInst::new(0, Opcode::Mov);
-        d.srcs[1] = Some(Reg::new(3).into());
-        assert_eq!(d.monadic_src(), Some(Reg::new(3).into()));
-        d.srcs[0] = Some(Reg::new(2).into());
-        assert_eq!(d.monadic_src(), None, "dyadic has no single source");
-    }
-
-    #[test]
-    fn swap_exchanges_positions() {
-        let mut d = DynInst::new(0, Opcode::Sub);
-        d.srcs = [Some(Reg::new(1).into()), Some(Reg::new(2).into())];
-        let s = d.with_swapped_operands();
-        assert_eq!(s.srcs[0], Some(Reg::new(2).into()));
-        assert_eq!(s.srcs[1], Some(Reg::new(1).into()));
     }
 }

@@ -121,33 +121,16 @@ impl Emulator {
         }
     }
 
-    /// Writes an integer register (writes to register 0 are discarded).
-    pub fn set_int_reg(&mut self, r: Reg, value: i64) {
-        if !r.is_zero() {
-            self.int_regs[r.index() as usize] = value;
-        }
-    }
-
     /// Reads a floating-point register.
     #[must_use]
     pub fn fp_reg(&self, f: Freg) -> f64 {
         self.fp_regs[f.index() as usize]
     }
 
-    /// Writes a floating-point register.
-    pub fn set_fp_reg(&mut self, f: Freg, value: f64) {
-        self.fp_regs[f.index() as usize] = value;
-    }
-
     /// The emulated memory.
     #[must_use]
     pub fn memory(&self) -> &Memory {
         &self.mem
-    }
-
-    /// Mutable access to the emulated memory (for workload initialization).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
     }
 
     fn int_val(&self, r: Option<RegRef>) -> i64 {

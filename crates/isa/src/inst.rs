@@ -6,7 +6,7 @@
 //! they create no rename dependency — this is exactly the filtering the
 //! paper's arity classification (§3.3) applies ("dynamic register operands").
 
-use crate::op::{Arity, Opcode};
+use crate::op::Opcode;
 use crate::reg::RegRef;
 
 /// One static instruction.
@@ -53,26 +53,6 @@ impl Inst {
             .flatten()
             .filter(|r| !r.is_zero())
     }
-
-    /// The *dynamic* register arity: the paper's noadic/monadic/dyadic
-    /// classification after discarding zero-register sources. Note this can
-    /// differ from [`Opcode::arity`]: `add rd, r0, rb` is dynamically
-    /// monadic.
-    #[must_use]
-    pub fn dynamic_arity(&self) -> Arity {
-        match self.sources().count() {
-            0 => Arity::Noadic,
-            1 => Arity::Monadic,
-            _ => Arity::Dyadic,
-        }
-    }
-
-    /// Whether the destination creates a rename target (a real destination
-    /// that is not the zero register).
-    #[must_use]
-    pub fn writes_register(&self) -> bool {
-        self.rd.is_some_and(|r| !r.is_zero())
-    }
 }
 
 #[cfg(test)]
@@ -87,16 +67,6 @@ mod tests {
         i.ra = Some(Reg::new(0).into());
         i.rb = Some(Reg::new(2).into());
         assert_eq!(i.sources().count(), 1);
-        assert_eq!(i.dynamic_arity(), Arity::Monadic);
-    }
-
-    #[test]
-    fn zero_destination_is_discarded() {
-        let mut i = Inst::new(Opcode::Add);
-        i.rd = Some(Reg::new(0).into());
-        assert!(!i.writes_register());
-        i.rd = Some(Reg::new(1).into());
-        assert!(i.writes_register());
     }
 
     #[test]
@@ -106,6 +76,5 @@ mod tests {
         i.rb = Some(Reg::new(2).into());
         i.rc = Some(Reg::new(3).into());
         assert_eq!(i.sources().count(), 3);
-        assert_eq!(i.dynamic_arity(), Arity::Dyadic);
     }
 }

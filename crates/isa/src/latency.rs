@@ -50,13 +50,6 @@ pub fn of(class: OpClass) -> u32 {
     }
 }
 
-/// Whether the functional unit for this class is fully pipelined (a new
-/// operation may start every cycle). Mul/div and fdiv/fsqrt units are not.
-#[must_use]
-pub fn is_pipelined(class: OpClass) -> bool {
-    !matches!(class, OpClass::IntMulDiv | OpClass::FpDivSqrt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,14 +62,5 @@ mod tests {
         assert_eq!(of(OpClass::FpAdd), 4);
         assert_eq!(of(OpClass::FpMul), 4);
         assert_eq!(of(OpClass::FpDivSqrt), 15);
-    }
-
-    #[test]
-    fn long_latency_units_unpipelined() {
-        assert!(!is_pipelined(OpClass::IntMulDiv));
-        assert!(!is_pipelined(OpClass::FpDivSqrt));
-        assert!(is_pipelined(OpClass::FpAdd));
-        assert!(is_pipelined(OpClass::Load));
-        assert!(is_pipelined(OpClass::IntAlu));
     }
 }

@@ -52,7 +52,6 @@ pub mod asm;
 pub mod disasm;
 pub mod dyninst;
 pub mod emu;
-pub mod encode;
 pub mod hash;
 pub mod inst;
 pub mod latency;

@@ -21,21 +21,6 @@ impl Program {
         Program { insts, data }
     }
 
-    /// Builds a program directly from decoded instructions, with no data
-    /// image — the counterpart of [`crate::encode::decode`].
-    #[must_use]
-    pub fn from_insts(insts: Vec<Inst>) -> Self {
-        Program {
-            insts,
-            data: Vec::new(),
-        }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn new_for_tests(insts: Vec<Inst>) -> Self {
-        Self::from_insts(insts)
-    }
-
     /// The instruction at index `idx`, if any.
     #[must_use]
     pub fn get(&self, idx: usize) -> Option<&Inst> {
@@ -73,12 +58,11 @@ impl Program {
     /// identically, so it keys recorded traces — a kernel edit changes the
     /// fingerprint and invalidates stale trace files (see `wsrs-trace`).
     ///
-    /// Unlike [`crate::encode::encode`], fingerprinting never fails:
-    /// immediates are hashed at full 64-bit width.
+    /// Immediates are hashed at full 64-bit width.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         // Registers hash as class-disambiguated bytes: 0 = absent,
-        // 1..=128 = int, 129.. = fp (the instruction encoding's scheme).
+        // 1..=128 = int, 129.. = fp.
         let reg_byte = |r: Option<RegRef>| match r {
             None => 0,
             Some(rr) => match rr.class() {
@@ -157,8 +141,8 @@ mod tests {
         int_mov.ra = Some(crate::reg::Reg::new(3).into());
         let mut fp_mov = Inst::new(Opcode::Mov);
         fp_mov.ra = Some(crate::reg::Freg::new(3).into());
-        let a = Program::from_insts(vec![int_mov]);
-        let b = Program::from_insts(vec![fp_mov]);
+        let a = Program::new(vec![int_mov], vec![]);
+        let b = Program::new(vec![fp_mov], vec![]);
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 }

@@ -88,43 +88,6 @@ proptest! {
         prop_assert_eq!(e.memory().read_f64(0x108), x);
     }
 
-    /// Binary encode/decode round-trips arbitrary well-formed arithmetic
-    /// instructions exactly.
-    #[test]
-    fn encode_roundtrip(
-        rd in 1u8..79, ra in 0u8..79, rb in 0u8..79,
-        imm in any::<i32>(), pick in 0usize..6,
-    ) {
-        use wsrs_isa::encode::{decode_inst, encode_inst};
-        let mut a = Assembler::new();
-        match pick {
-            0 => a.add(Reg::new(rd), Reg::new(ra), Reg::new(rb)),
-            1 => a.addi(Reg::new(rd), Reg::new(ra), i64::from(imm)),
-            2 => a.li(Reg::new(rd), i64::from(imm)),
-            3 => a.lw(Reg::new(rd), Reg::new(ra), i64::from(imm)),
-            4 => a.sw(Reg::new(ra), i64::from(imm), Reg::new(rb)),
-            _ => a.mul(Reg::new(rd), Reg::new(ra), Reg::new(rb)),
-        }
-        a.halt();
-        let p = a.assemble();
-        let inst = *p.get(0).unwrap();
-        let w = encode_inst(&inst, 0).unwrap();
-        let back = decode_inst(w, 0).unwrap();
-        prop_assert_eq!(inst, back);
-    }
-
-    /// Decoding never panics on arbitrary words: it either errors or
-    /// yields an instruction that re-encodes to the same canonical word.
-    #[test]
-    fn decode_is_total_and_canonical(w in any::<u64>()) {
-        use wsrs_isa::encode::{decode_inst, encode_inst};
-        if let Ok(inst) = decode_inst(w, 0) {
-            let re = encode_inst(&inst, 0).expect("decoded fields always fit");
-            let back = decode_inst(re, 0).expect("canonical word decodes");
-            prop_assert_eq!(inst, back);
-        }
-    }
-
     /// The dynamic arity of a generated µop never exceeds its opcode's
     /// static arity.
     #[test]

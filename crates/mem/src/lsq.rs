@@ -74,12 +74,6 @@ impl StoreQueue {
         self.stores.retain(|s| s.seq != seq);
     }
 
-    /// Removes every store younger than or equal to `seq` — used when a
-    /// misprediction squashes the tail of the window.
-    pub fn squash_younger_than(&mut self, seq: u64) {
-        self.stores.retain(|s| s.seq < seq);
-    }
-
     /// For a load with sequence `load_seq` to `byte_addr`: finds the
     /// youngest older store to the same word, if any.
     #[must_use]
@@ -136,17 +130,6 @@ mod tests {
         q.remove(1);
         assert!(q.is_empty());
         assert_eq!(q.query(2, 0x100), StoreQueueQuery::NoConflict);
-    }
-
-    #[test]
-    fn squash_drops_tail() {
-        let mut q = StoreQueue::new();
-        q.insert(1, 0x100);
-        q.insert(2, 0x200);
-        q.insert(3, 0x300);
-        q.squash_younger_than(2);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.query(9, 0x100), StoreQueueQuery::ForwardFrom(1));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so the workspace vendors
 //! the subset of proptest its property tests rely on: the [`proptest!`]
-//! macro, range/tuple/[`Just`]/mapped strategies, `prop_oneof!`,
+//! macro, range/tuple/[`Just`](strategy::Just)/mapped strategies, `prop_oneof!`,
 //! recursive and collection strategies, and the `prop_assert*` macros.
 //!
 //! Differences from upstream, deliberately accepted:
@@ -84,7 +84,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Length specifications accepted by [`vec`].
+    /// Length specifications accepted by [`vec()`].
     pub trait SizeRange {
         /// Draws a length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;

@@ -48,13 +48,6 @@ impl FreeList {
         self.recycling.len()
     }
 
-    /// Total registers owned by this list (available + recycling); excludes
-    /// allocated ones.
-    #[must_use]
-    pub fn total_free(&self) -> usize {
-        self.avail.len() + self.recycling.len()
-    }
-
     /// Matures recycled registers whose delay has elapsed by `cycle`.
     /// Call once per simulated cycle (idempotent within a cycle).
     pub fn tick(&mut self, cycle: u64) {
@@ -134,11 +127,11 @@ mod tests {
         for _ in 0..5 {
             held.push(f.alloc().unwrap());
         }
-        assert_eq!(f.total_free(), 3);
+        assert_eq!(f.available() + f.in_recycling(), 3);
         for r in held.drain(..) {
             f.free(r, 100);
         }
-        assert_eq!(f.total_free(), 8);
+        assert_eq!(f.available() + f.in_recycling(), 8);
         f.tick(103);
         assert_eq!(f.available(), 8);
     }

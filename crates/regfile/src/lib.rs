@@ -6,8 +6,8 @@
 //! bookkeeping the timing simulator uses:
 //!
 //! * [`MapTable`] — logical → (physical, subset) mappings for both register
-//!   classes, which also materializes the paper's `f`/`s` subset-bit
-//!   vectors (§3.2) for WSRS cluster computation;
+//!   classes; each mapping's [`Subset`] carries the paper's `f`/`s` bits
+//!   (§3.2) for WSRS cluster computation;
 //! * [`FreeList`] — per-subset free lists, including the **strategy 1**
 //!   recycling pipeline (pick *N* registers from every list each rename
 //!   cycle, recycle the unused ones after a delay, §2.2.1) and the
@@ -29,9 +29,9 @@
 //! let dst = RegRef::int(Reg::new(5));
 //! r.begin_cycle(0, 8);
 //! let m = r.alloc(dst.class(), Subset(2)).expect("subset 2 has free registers");
-//! let old = r.rename_dest(dst, m);
+//! let old = r.rename_dest_for(0, dst, m);
 //! r.end_cycle(0);
-//! assert_eq!(r.map_source(dst).phys, m.phys);
+//! assert_eq!(r.map_source_for(0, dst).phys, m.phys);
 //! // ... at commit, the previous mapping is reclaimed:
 //! r.free(dst.class(), old, 100);
 //! ```

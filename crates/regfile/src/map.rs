@@ -57,26 +57,6 @@ impl MapTable {
         std::mem::replace(&mut self.map[logical], m)
     }
 
-    /// The `f` subset-bit vector (paper §3.2): bit `i` set iff logical
-    /// register `i` currently lives in a subset with `f = 1`.
-    #[must_use]
-    pub fn f_vector(&self) -> u128 {
-        self.bit_vector(|s| s.f())
-    }
-
-    /// The `s` subset-bit vector (paper §3.2).
-    #[must_use]
-    pub fn s_vector(&self) -> u128 {
-        self.bit_vector(|s| s.s())
-    }
-
-    fn bit_vector(&self, bit: impl Fn(Subset) -> u8) -> u128 {
-        self.map
-            .iter()
-            .enumerate()
-            .fold(0u128, |acc, (i, m)| acc | (u128::from(bit(m.subset)) << i))
-    }
-
     /// How many logical registers currently map into `subset` — the number
     /// of physical registers of that subset holding architectural state
     /// (used by the §2.3 deadlock analysis).
@@ -120,23 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn fs_vectors_track_subset_bits() {
-        let mut t = MapTable::new(4, reset_mapping(4));
-        // reset: logical i in subset i: subsets 0,1,2,3 -> f bits 0,0,1,1; s bits 0,1,0,1
-        assert_eq!(t.f_vector(), 0b1100);
-        assert_eq!(t.s_vector(), 0b1010);
-        t.update(
-            0,
-            Mapping {
-                phys: PhysReg(9),
-                subset: Subset(3),
-            },
-        );
-        assert_eq!(t.f_vector(), 0b1101);
-        assert_eq!(t.s_vector(), 0b1011);
-    }
-
-    #[test]
     fn mapped_into_counts() {
         let t = MapTable::new(80, reset_mapping(4));
         assert_eq!(t.mapped_into(Subset(0)), 20);
@@ -149,7 +112,5 @@ mod tests {
     fn conventional_single_subset() {
         let t = MapTable::new(16, reset_mapping(1));
         assert_eq!(t.mapped_into(Subset(0)), 16);
-        assert_eq!(t.f_vector(), 0);
-        assert_eq!(t.s_vector(), 0);
     }
 }

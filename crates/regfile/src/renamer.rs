@@ -8,10 +8,10 @@
 //!    under [`RenameStrategy::Recycling`] up to `N` registers are staged
 //!    from *every* free list (the paper's §2.2.1 speculative pick);
 //! 2. for each µop of the rename group, in program order:
-//!    [`Renamer::map_source`] for sources (dependency propagation within
+//!    [`Renamer::map_source_for`] for sources (dependency propagation within
 //!    the group happens naturally because destinations update the map
 //!    immediately), [`Renamer::can_alloc`] / [`Renamer::alloc`] /
-//!    [`Renamer::rename_dest`] for the destination;
+//!    [`Renamer::rename_dest_for`] for the destination;
 //! 3. [`Renamer::end_cycle`] — staged-but-unused registers enter the
 //!    recycling pipeline.
 //!
@@ -304,12 +304,6 @@ impl Renamer {
         self.stats
     }
 
-    /// Current mapping of a source operand (hardware thread 0).
-    #[must_use]
-    pub fn map_source(&self, src: RegRef) -> Mapping {
-        self.map_source_for(0, src)
-    }
-
     /// Current mapping of a source operand of hardware thread `thread`.
     #[must_use]
     pub fn map_source_for(&self, thread: usize, src: RegRef) -> Mapping {
@@ -365,14 +359,9 @@ impl Renamer {
         Some(Mapping { phys, subset })
     }
 
-    /// Installs `mapping` as the new home of logical destination `dst`
-    /// (hardware thread 0), returning the previous mapping (reclaimed when
-    /// the instruction commits).
-    pub fn rename_dest(&mut self, dst: RegRef, mapping: Mapping) -> Mapping {
-        self.rename_dest_for(0, dst, mapping)
-    }
-
-    /// Installs `mapping` for hardware thread `thread`.
+    /// Installs `mapping` as the new home of logical destination `dst` of
+    /// hardware thread `thread`, returning the previous mapping (reclaimed
+    /// when the instruction commits).
     pub fn rename_dest_for(&mut self, thread: usize, dst: RegRef, mapping: Mapping) -> Mapping {
         self.classes[class_idx(dst.class())].maps[thread].update(dst.index() as usize, mapping)
     }
@@ -439,20 +428,9 @@ impl Renamer {
     }
 
     /// Deadlock workaround (b) of §2.3: forcibly remap logical register
-    /// `logical` of `class` into `to_subset`, as the exception handler's
-    /// move instructions would. Returns the new mapping, or `None` if the
-    /// target subset has no free register either.
-    pub fn force_remap(
-        &mut self,
-        class: RegClass,
-        logical: usize,
-        to_subset: Subset,
-        cycle: u64,
-    ) -> Option<Mapping> {
-        self.force_remap_for(0, class, logical, to_subset, cycle)
-    }
-
-    /// [`Renamer::force_remap`] for hardware thread `thread`.
+    /// `logical` of `class` (hardware thread `thread`) into `to_subset`, as
+    /// the exception handler's move instructions would. Returns the new
+    /// mapping, or `None` if the target subset has no free register either.
     pub fn force_remap_for(
         &mut self,
         thread: usize,
@@ -527,9 +505,9 @@ mod tests {
         let before = r.available(RegClass::Int, Subset(1));
         r.begin_cycle(0, 8);
         let m = r.alloc(RegClass::Int, Subset(1)).unwrap();
-        let old = r.rename_dest(int(5), m);
+        let old = r.rename_dest_for(0, int(5), m);
         r.end_cycle(0);
-        assert_eq!(r.map_source(int(5)), m);
+        assert_eq!(r.map_source_for(0, int(5)), m);
         assert_eq!(r.available(RegClass::Int, Subset(1)), before - 1);
         let avail_old = r.available(RegClass::Int, old.subset);
         r.free(RegClass::Int, old, 50);
@@ -545,8 +523,12 @@ mod tests {
         let mut r = Renamer::new(RenamerConfig::conventional(256, 128));
         r.begin_cycle(0, 8);
         let m1 = r.alloc(RegClass::Int, Subset(0)).unwrap();
-        r.rename_dest(int(3), m1);
-        assert_eq!(r.map_source(int(3)), m1, "younger µop sees older's dest");
+        r.rename_dest_for(0, int(3), m1);
+        assert_eq!(
+            r.map_source_for(0, int(3)),
+            m1,
+            "younger µop sees older's dest"
+        );
         r.end_cycle(0);
     }
 
@@ -560,7 +542,7 @@ mod tests {
         r.begin_cycle(0, 8);
         // 8 staged per subset per class; use only 1.
         let m = r.alloc(RegClass::Int, Subset(0)).unwrap();
-        r.rename_dest(int(1), m);
+        r.rename_dest_for(0, int(1), m);
         r.end_cycle(0);
         // 7 unused int regs per subset 0 + 8 each in 1..3 + 8*4 fp = recycling
         assert_eq!(r.in_recycling(RegClass::Int, Subset(0)), 7);
@@ -582,7 +564,7 @@ mod tests {
         for _ in 0..4 {
             assert!(r.can_alloc(RegClass::Int, Subset(2)));
             let m = r.alloc(RegClass::Int, Subset(2)).unwrap();
-            let _ = r.rename_dest(int(9), m);
+            let _ = r.rename_dest_for(0, int(9), m);
         }
         assert!(!r.can_alloc(RegClass::Int, Subset(2)));
         assert!(r.alloc(RegClass::Int, Subset(2)).is_none());
@@ -639,27 +621,12 @@ mod tests {
             256,
             RenameStrategy::ExactCount,
         ));
-        let before = r.map_source(int(7));
-        let new = r.force_remap(RegClass::Int, 7, Subset(0), 10).unwrap();
+        let before = r.map_source_for(0, int(7));
+        let new = r
+            .force_remap_for(0, RegClass::Int, 7, Subset(0), 10)
+            .unwrap();
         assert_eq!(new.subset, Subset(0));
-        assert_ne!(r.map_source(int(7)), before);
+        assert_ne!(r.map_source_for(0, int(7)), before);
         assert_eq!(r.map_table(RegClass::Int).mapped_into(Subset(0)), 21);
-    }
-
-    #[test]
-    fn fs_vectors_update_with_renames() {
-        let mut r = Renamer::new(RenamerConfig::write_specialized(
-            512,
-            256,
-            RenameStrategy::ExactCount,
-        ));
-        // logical 0 starts in subset 0 (f=0,s=0)
-        assert_eq!(r.map_table(RegClass::Int).f_vector() & 1, 0);
-        r.begin_cycle(0, 8);
-        let m = r.alloc(RegClass::Int, Subset(3)).unwrap();
-        r.rename_dest(int(0), m);
-        r.end_cycle(0);
-        assert_eq!(r.map_table(RegClass::Int).f_vector() & 1, 1);
-        assert_eq!(r.map_table(RegClass::Int).s_vector() & 1, 1);
     }
 }

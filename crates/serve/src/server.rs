@@ -2,8 +2,9 @@
 //!
 //! # Job lifecycle
 //!
-//! `POST /v1/jobs` parses a submission into [`CellJob`]s and resolves
-//! each cell, in order, to one of three states under the in-flight lock:
+//! `POST /v1/jobs` parses a submission into
+//! [`CellJob`](wsrs_bench::CellJob)s and resolves each cell, in order, to
+//! one of three states under the in-flight lock:
 //!
 //! 1. **attached** — an identical cell (same configuration content hash,
 //!    workload, window) is already being simulated for another job; this

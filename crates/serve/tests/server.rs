@@ -222,6 +222,60 @@ fn bad_submissions_and_unknown_jobs_are_rejected() {
     let _ = std::fs::remove_dir_all(&trace_dir);
 }
 
+/// A submission that parses but cannot run (a zero `measure` under a
+/// sample spec has no sampling plan) or carries a malformed field is a
+/// 400 naming the field, and never reaches the single worker: a valid job
+/// after it still completes, and shutdown is clean.
+#[test]
+fn bad_requests_leave_the_worker_pool_serving() {
+    let memo_dir = temp_dir("memo-survive");
+    let trace_dir = temp_dir("traces-survive");
+    let opts = ServerOptions {
+        workers: 1,
+        paused: false,
+        memo_dir: memo_dir.clone(),
+        trace_dir: trace_dir.clone(),
+    };
+    let server = Server::bind("127.0.0.1:0", &opts).expect("bind");
+    let addr = server.addr().to_string();
+    let shutdown = server.shutdown_handle();
+    let server_thread = std::thread::spawn(move || server.run(1));
+
+    for (bad, field) in [
+        (
+            "{\"warmup\":5,\"measure\":0,\"cells\":[{\"workload\":\"gzip\",\"config\":\"RR 256\",\
+             \"sample\":{\"intervals\":48,\"interval_uops\":750,\"detail_warmup\":1000}}]}",
+            "'measure'",
+        ),
+        (
+            "{\"warmup\":\"abc\",\"cells\":[{\"workload\":\"gzip\",\"config\":\"RR 256\"}]}",
+            "'warmup'",
+        ),
+        (
+            "{\"cells\":[{\"workload\":\"gzip\",\"config\":\"RR 256\",\
+             \"sample\":{\"intervals\":4,\"interval_uops\":750}}]}",
+            "'sample.detail_warmup'",
+        ),
+    ] {
+        let resp = client::post(&addr, "/v1/jobs", bad).unwrap();
+        assert_eq!(resp.status, 400, "{bad}");
+        assert!(resp.body_str().contains(field), "{}", resp.body_str());
+    }
+
+    let job = submit(
+        &addr,
+        "{\"warmup\": 2000, \"measure\": 4000, \"cells\": [\
+         {\"workload\": \"gzip\", \"config\": \"RR 256\"}]}",
+    );
+    wait_done(&addr, job);
+    assert_eq!(stream(&addr, job).lines().count(), 2);
+
+    shutdown();
+    server_thread.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&memo_dir);
+    let _ = std::fs::remove_dir_all(&trace_dir);
+}
+
 /// Cell lines carry no cycle-skipping provenance, and a memoized line
 /// replays byte-identically. An entry written by the previous simulator
 /// revision, whose lines still carried `"skip": true`, is never replayed

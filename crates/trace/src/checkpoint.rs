@@ -261,16 +261,6 @@ impl TraceStore {
         Ok(image.len() as u64)
     }
 
-    /// Removes the checkpoint stored under `key`, if present. Returns
-    /// whether a file was deleted.
-    pub fn remove_checkpoint(&self, key: &CheckpointKey) -> std::io::Result<bool> {
-        match std::fs::remove_file(self.checkpoint_path(key)) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
     /// All checkpoint files in the store, sorted by filename. A missing
     /// store directory is an empty store.
     pub fn checkpoint_entries(&self) -> std::io::Result<Vec<PathBuf>> {

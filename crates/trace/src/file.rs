@@ -202,9 +202,9 @@ pub fn checksum_of(file_bytes: &[u8]) -> u64 {
 
 /// A parsed, checksum-verified trace file held in memory.
 ///
-/// Its payload stays encoded: [`TraceFile::read_all`] and
-/// [`TraceFile::read_window`] decode into a fresh `Vec`, while
-/// [`TraceFile::uops_from`] streams one block at a time.
+/// Its payload stays encoded: [`TraceFile::read_all`] decodes it into a
+/// fresh `Vec`, while [`TraceFile::uops_from`] streams one block at a
+/// time.
 #[derive(Debug)]
 pub struct TraceFile {
     header: TraceHeader,
@@ -358,39 +358,14 @@ impl TraceFile {
 
     /// Decodes the entire payload.
     pub fn read_all(&self) -> Result<Vec<DynInst>, TraceError> {
-        self.read_window(0, self.header.uop_count)
-    }
-
-    /// Decodes `count` µops starting at µop index `start`, decoding only
-    /// the blocks that overlap the window.
-    pub fn read_window(&self, start: u64, count: u64) -> Result<Vec<DynInst>, TraceError> {
-        let end = start
-            .checked_add(count)
-            .filter(|&e| e <= self.header.uop_count)
-            .ok_or_else(|| {
-                TraceError::Malformed(format!(
-                    "window [{start}, {start}+{count}) exceeds uop_count {}",
-                    self.header.uop_count
-                ))
-            })?;
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let per = u64::from(self.header.block_uops);
-        let first_block = (start / per) as usize;
-        let last_block = ((end - 1) / per) as usize;
-
-        let mut decoded = Vec::with_capacity(count as usize + self.header.block_uops as usize);
-        for b in first_block..=last_block {
+        let mut decoded = Vec::with_capacity(self.header.uop_count as usize);
+        for b in 0..self.block_count() {
             codec::decode_block(
                 &self.bytes[self.block_range(b)],
                 self.block_len(b),
                 &mut decoded,
             )?;
         }
-        let skip = (start - first_block as u64 * per) as usize;
-        decoded.drain(..skip);
-        decoded.truncate(count as usize);
         Ok(decoded)
     }
 
@@ -552,11 +527,15 @@ mod tests {
         let uops = sample_uops(500);
         let file = TraceFile::from_bytes(encode(&sample_header(500, 32), &uops)).unwrap();
         for (start, count) in [(0, 500), (0, 10), (31, 2), (32, 32), (490, 10), (499, 1)] {
-            let got = file.read_window(start as u64, count as u64).unwrap();
+            let got: Vec<DynInst> = file.uops_from(start as u64).take(count).collect();
             assert_eq!(got, uops[start..start + count], "window {start}+{count}");
         }
-        assert!(file.read_window(0, 0).unwrap().is_empty());
-        assert!(file.read_window(200, 400).is_err(), "past the end");
+        assert_eq!(file.uops_from(0).take(0).count(), 0);
+        assert_eq!(
+            file.uops_from(200).take(400).count(),
+            300,
+            "ends at the payload"
+        );
     }
 
     #[test]
@@ -600,10 +579,10 @@ mod tests {
                 let sum = fnv1a_64(&forged[..n - 8]);
                 forged[n - 8..].copy_from_slice(&sum.to_le_bytes());
                 let f = TraceFile::from_bytes(forged).expect("checksum is valid");
-                f.read_window(64, 32).is_err().then_some(f)
+                // Blocks decode independently: only block 2 can fail.
+                f.read_all().is_err().then_some(f)
             })
             .expect("some byte of block 2 breaks its decode");
-        assert!(bad.read_all().is_err());
 
         // The stream yields the intact blocks, then stops and records why.
         let got: Vec<DynInst> = bad.uops_from(0).collect();

@@ -11,9 +11,9 @@
 //!
 //! * [`codec`] — delta/varint record coding, in independently decodable
 //!   blocks;
-//! * [`file`] — the on-disk format: versioned header, block index for O(1)
+//! * [`file`](mod@file) — the on-disk format: versioned header, block index for O(1)
 //!   window seeks, whole-file FNV-1a checksum; a [`TraceFile`] decodes
-//!   whole windows or streams one block at a time;
+//!   the whole payload or streams one block at a time;
 //! * [`store`] — the keyed directory ([`TraceStore`]), with atomic writes;
 //!   [`TraceStore::open`] validates a file without decoding it,
 //!   [`TraceStore::load`] also decodes every µop;

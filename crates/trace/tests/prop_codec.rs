@@ -84,8 +84,9 @@ proptest! {
 
         let start = window.0 % uops.len();
         let count = window.1 % (uops.len() - start + 1);
-        let got = tf.read_window(start as u64, count as u64).expect("window");
+        let got: Vec<_> = tf.uops_from(start as u64).take(count).collect();
         prop_assert_eq!(got, uops[start..start + count].to_vec());
+        prop_assert!(tf.stream_error().is_none());
     }
 
     /// No truncation of a valid image is accepted.
@@ -150,7 +151,7 @@ fn emulated_workload_prefix_round_trips() {
         let tf = TraceFile::from_bytes(image).unwrap();
         assert_eq!(tf.read_all().unwrap(), uops, "{w}");
         assert_eq!(
-            tf.read_window(10_000, 20_000).unwrap(),
+            tf.uops_from(10_000).take(20_000).collect::<Vec<_>>(),
             uops[10_000..],
             "{w} measured window"
         );

@@ -5,8 +5,7 @@
 //! # Anchors
 //!
 //! The 12 kernel profiles extracted at the fixed anchor window
-//! ([`ANCHOR_WARMUP`](crate::profile::ANCHOR_WARMUP),
-//! [`ANCHOR_WINDOW`](crate::profile::ANCHOR_WINDOW)) are committed as
+//! ([`ANCHOR_WARMUP`], [`ANCHOR_WINDOW`]) are committed as
 //! canonical JSON under `crates/workgen/anchors/` and embedded here. They
 //! serve two purposes: calibration data (the
 //! `anchors_match_live_extraction` test pins profile extraction — any

@@ -80,20 +80,6 @@ pub fn end_outer_loop(a: &mut Assembler, oc: Reg, top: Label) {
     a.halt();
 }
 
-/// A counted loop skeleton: emits the header (`i = 0`), returns the label
-/// to bind the body behind; call [`end_counted_loop`] after the body.
-pub fn begin_counted_loop(a: &mut Assembler, i: Reg, n: Reg, count: i64) -> Label {
-    a.li(i, 0);
-    a.li(n, count);
-    a.bind_label()
-}
-
-/// Closes a loop started with [`begin_counted_loop`].
-pub fn end_counted_loop(a: &mut Assembler, i: Reg, n: Reg, top: Label) {
-    a.addi(i, i, 1);
-    a.blt(i, n, top);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,18 +110,5 @@ mod tests {
         for i in 0..16 {
             assert_ne!(e.memory().read(0x1000 + i * 8), 0, "word {i}");
         }
-    }
-
-    #[test]
-    fn counted_loop_iterates_exactly() {
-        let mut a = Assembler::new();
-        let (i, n, acc) = (Reg::new(1), Reg::new(2), Reg::new(3));
-        let top = begin_counted_loop(&mut a, i, n, 25);
-        a.addi(acc, acc, 1);
-        end_counted_loop(&mut a, i, n, top);
-        a.halt();
-        let mut e = Emulator::new(a.assemble(), 4096);
-        for _ in e.by_ref() {}
-        assert_eq!(e.int_reg(acc), 25);
     }
 }

@@ -312,12 +312,6 @@ impl Workload {
             h.finish()
         })
     }
-
-    /// An emulator over a short, terminating run (functional tests).
-    #[must_use]
-    pub fn short_run(self) -> Emulator {
-        Emulator::new(self.program(2), DEFAULT_MEM_BYTES)
-    }
 }
 
 impl std::str::FromStr for Workload {
@@ -389,7 +383,7 @@ mod tests {
     #[test]
     fn every_kernel_terminates_on_short_run() {
         for w in Workload::all() {
-            let mut emu = w.short_run();
+            let mut emu = Emulator::new(w.program(2), DEFAULT_MEM_BYTES);
             let n = emu.by_ref().count();
             assert!(emu.is_halted(), "{w} did not halt");
             assert!(n > 500, "{w} too short: {n} µops");

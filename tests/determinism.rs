@@ -114,7 +114,7 @@ fn parallel_grid_matches_serial_byte_for_byte() {
 /// simulation of the same cached traces does.
 #[test]
 fn batched_grid_matches_scalar_cells_byte_for_byte() {
-    use wsrs_bench::{run_cell_cached, run_grid_full, RunParams, TraceCache};
+    use wsrs_bench::{run_grid_full, RunParams, TraceCache};
 
     let workloads = [Workload::Gzip, Workload::Wupwise];
     let configs = grid_family();
@@ -140,7 +140,11 @@ fn batched_grid_matches_scalar_cells_byte_for_byte() {
         for (w, row) in workloads.iter().zip(&run.reports) {
             let trace = cache.checkout(*w);
             for ((name, cfg), batched) in configs.iter().zip(row) {
-                let scalar = run_cell_cached(&trace, cfg, params);
+                let scalar = Simulator::new(*cfg).run_measured(
+                    trace.iter().copied(),
+                    params.warmup,
+                    params.measure,
+                );
                 assert_eq!(
                     format!("{batched:?}"),
                     format!("{scalar:?}"),
@@ -155,7 +159,7 @@ fn batched_grid_matches_scalar_cells_byte_for_byte() {
 /// per-cell emulator did.
 #[test]
 fn cached_trace_matches_fresh_emulation() {
-    use wsrs_bench::{run_cell, run_cell_cached, RunParams, TraceCache};
+    use wsrs_bench::{RunParams, TraceCache};
 
     let params = RunParams {
         warmup: 10_000,
@@ -165,8 +169,10 @@ fn cached_trace_matches_fresh_emulation() {
     let cache = TraceCache::new(params);
     let trace = cache.checkout(Workload::Mcf);
     assert_eq!(trace.len(), 30_000);
-    let cached = run_cell_cached(&trace, &cfg, params);
-    let fresh = run_cell(Workload::Mcf, &cfg, params);
+    let cached =
+        Simulator::new(cfg).run_measured(trace.iter().copied(), params.warmup, params.measure);
+    let fresh =
+        Simulator::new(cfg).run_measured(Workload::Mcf.trace(), params.warmup, params.measure);
     assert_eq!(format!("{cached:?}"), format!("{fresh:?}"));
 }
 

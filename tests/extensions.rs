@@ -2,7 +2,7 @@
 //! pooled Figure 2b machine, the LoadBalance policy, virtual-physical
 //! registers composed with WSRS, and deadlock recovery.
 
-use wsrs::core::{AllocPolicy, SimConfig, SimConfigBuilder, Simulator};
+use wsrs::core::{AllocPolicy, SimConfig, Simulator};
 use wsrs::regfile::RenameStrategy;
 use wsrs::workloads::Workload;
 
@@ -18,7 +18,8 @@ fn virtual_physical_composes_with_wsrs() {
         AllocPolicy::RandomCommutative,
         RenameStrategy::ExactCount,
     );
-    let vp = SimConfigBuilder::from(plain).virtual_physical(64).build();
+    let mut vp = plain;
+    vp.set_virtual_physical(64);
     for w in [Workload::Gzip, Workload::Swim] {
         let a = Simulator::new(plain).run_measured(w.trace(), WARM, MEAS);
         let b = Simulator::new(vp).run_measured(w.trace(), WARM, MEAS);
@@ -86,14 +87,13 @@ fn monolithic_machine_is_an_upper_bound_on_clustered() {
 fn smt_pairs_real_workloads() {
     // §2.3's SMT scenario at integration level: two kernels share the WSRS
     // machine; both make full progress and throughput beats either alone.
-    let cfg = SimConfigBuilder::from(SimConfig::wsrs(
+    let mut cfg = SimConfig::wsrs(
         512,
         AllocPolicy::RandomCommutative,
         RenameStrategy::ExactCount,
-    ))
-    .threads(2)
-    .deadlock_recovery(true)
-    .build();
+    );
+    cfg.set_threads(2);
+    cfg.deadlock_recovery = true;
     let per_thread = 120_000;
     let r = Simulator::new(cfg).run_smt(vec![
         Workload::Gzip.trace().take(per_thread),

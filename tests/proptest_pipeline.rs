@@ -113,13 +113,8 @@ proptest! {
     #[test]
     fn simulator_retires_every_uop_on_all_machines(ops in prop::collection::vec(op_strategy(), 1..80)) {
         let program = assemble(&ops);
-        let vp = {
-            let mut b = wsrs::core::SimConfigBuilder::from(
-                SimConfig::write_specialized_rr(512, RenameStrategy::ExactCount),
-            );
-            b.virtual_physical(48);
-            b.build()
-        };
+        let mut vp = SimConfig::write_specialized_rr(512, RenameStrategy::ExactCount);
+        vp.set_virtual_physical(48);
         for cfg in [
             SimConfig::conventional_rr(256),
             SimConfig::monolithic(256),

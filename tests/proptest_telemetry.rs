@@ -5,7 +5,7 @@
 //! worker counts.
 
 use proptest::prelude::*;
-use wsrs::core::{AllocPolicy, SimConfig, SimConfigBuilder, Simulator};
+use wsrs::core::{AllocPolicy, SimConfig, Simulator};
 use wsrs::isa::{Assembler, Emulator, Program, Reg};
 use wsrs::regfile::RenameStrategy;
 use wsrs::telemetry::SlotBucket;
@@ -54,7 +54,10 @@ fn assemble(ops: &[Op]) -> Program {
 
 /// The machine classes the conservation invariant must hold on.
 fn machines() -> [SimConfig; 4] {
-    let with_telemetry = |cfg: SimConfig| SimConfigBuilder::from(cfg).telemetry(true).build();
+    let with_telemetry = |cfg: SimConfig| SimConfig {
+        telemetry: true,
+        ..cfg
+    };
     [
         with_telemetry(SimConfig::conventional_rr(256)),
         with_telemetry(SimConfig::write_specialized_rr(
