@@ -4,31 +4,15 @@
 //! or more than 40 of them).
 
 use wsrs_bench::manifest::{artifacts_dir, grid_manifest, telemetry_on, write_manifest};
-use wsrs_bench::{render_csv, render_grid, run_grid, RunEnv};
-use wsrs_core::{AllocPolicy, SimConfig};
-use wsrs_regfile::RenameStrategy;
+use wsrs_bench::{figure5_configs, render_csv, render_grid, run_grid, RunEnv};
 use wsrs_workloads::Workload;
 
 fn main() {
     let env = RunEnv::from_env();
-    let configs = [
-        (
-            "WSRS RC",
-            telemetry_on(&SimConfig::wsrs(
-                512,
-                AllocPolicy::RandomCommutative,
-                RenameStrategy::ExactCount,
-            )),
-        ),
-        (
-            "WSRS RM",
-            telemetry_on(&SimConfig::wsrs(
-                512,
-                AllocPolicy::RandomMonadic,
-                RenameStrategy::ExactCount,
-            )),
-        ),
-    ];
+    let configs: Vec<(&str, _)> = figure5_configs()
+        .into_iter()
+        .map(|(n, c)| (n, telemetry_on(&c)))
+        .collect();
     let names: Vec<&str> = configs.iter().map(|(n, _)| *n).collect();
     let workloads = Workload::all();
 

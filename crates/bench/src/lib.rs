@@ -245,6 +245,26 @@ pub fn figure4_configs() -> Vec<(&'static str, SimConfig)> {
     ]
 }
 
+/// The two Figure 5 configurations: WSRS at 512 registers under each
+/// allocation policy (renaming strategy 2, as in Figure 4).
+#[must_use]
+pub fn figure5_configs() -> Vec<(&'static str, SimConfig)> {
+    vec![
+        (
+            "WSRS RC",
+            SimConfig::wsrs(
+                512,
+                AllocPolicy::RandomCommutative,
+                RenameStrategy::ExactCount,
+            ),
+        ),
+        (
+            "WSRS RM",
+            SimConfig::wsrs(512, AllocPolicy::RandomMonadic, RenameStrategy::ExactCount),
+        ),
+    ]
+}
+
 /// The `workgen` grid columns: an equally-sized unconstrained baseline
 /// and the two WSRS flavours Figure 4 separates (commutative vs monadic
 /// steering slack). Keeping the register count fixed at 512 across all
@@ -279,32 +299,23 @@ pub type Experiment = (&'static str, Vec<(&'static str, SimConfig)>, Vec<Workloa
 /// `wsrs-serve` (whole-grid job submission).
 #[must_use]
 pub fn gate_experiments() -> Vec<Experiment> {
-    let telemetry_on = manifest::telemetry_on;
-    let figure4 = figure4_configs()
-        .into_iter()
-        .map(|(n, c)| (n, telemetry_on(&c)))
-        .collect();
-    let figure5 = vec![
-        (
-            "WSRS RC",
-            telemetry_on(&SimConfig::wsrs(
-                512,
-                AllocPolicy::RandomCommutative,
-                RenameStrategy::ExactCount,
-            )),
-        ),
-        (
-            "WSRS RM",
-            telemetry_on(&SimConfig::wsrs(
-                512,
-                AllocPolicy::RandomMonadic,
-                RenameStrategy::ExactCount,
-            )),
-        ),
-    ];
+    let with_telemetry = |configs: Vec<(&'static str, SimConfig)>| {
+        configs
+            .into_iter()
+            .map(|(n, c)| (n, manifest::telemetry_on(&c)))
+            .collect()
+    };
     vec![
-        ("figure4", figure4, Workload::all().to_vec()),
-        ("figure5", figure5, Workload::all().to_vec()),
+        (
+            "figure4",
+            with_telemetry(figure4_configs()),
+            Workload::all().to_vec(),
+        ),
+        (
+            "figure5",
+            with_telemetry(figure5_configs()),
+            Workload::all().to_vec(),
+        ),
     ]
 }
 
@@ -921,9 +932,8 @@ impl GridRun {
 /// One (configuration, workload, window) cell of the design space — the
 /// unit of work everything schedules: grid binaries build one per grid
 /// cell, and `wsrs-serve` deserializes them straight off the job API.
-/// Serializable via [`CellJob::to_json`]/[`CellJob::from_json`] (configs
-/// travel by registry name; the resolved [`SimConfig`] rides along in
-/// memory).
+/// Parsed off the wire by [`CellJob::from_json`] (configs travel by
+/// registry name; the resolved [`SimConfig`] rides along in memory).
 #[derive(Clone, Debug)]
 pub struct CellJob {
     /// The workload whose trace the cell simulates.
@@ -934,10 +944,6 @@ pub struct CellJob {
     pub config: SimConfig,
     /// Warmup/measure window.
     pub params: RunParams,
-    /// Whether this cell may join a lockstep batch with compatible
-    /// sibling cells of the same workload. Purely an execution hint —
-    /// results are bit-identical either way.
-    pub batch_hint: bool,
     /// When set, the cell runs on the interval-sampled path under this
     /// spec instead of exact cycle simulation (always scalar, never
     /// batched). Exact cells carry `None`.
@@ -945,7 +951,7 @@ pub struct CellJob {
 }
 
 impl CellJob {
-    /// A batchable cell.
+    /// An exact cell.
     #[must_use]
     pub fn new(
         workload: Workload,
@@ -958,33 +964,8 @@ impl CellJob {
             config_name: config_name.to_string(),
             config,
             params,
-            batch_hint: true,
             sample: None,
         }
-    }
-
-    /// Wire form: the configuration travels by registry name; the sample
-    /// spec (when sampled) travels by value.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("workload".into(), Json::Str(self.workload.name().into())),
-            ("config".into(), Json::Str(self.config_name.clone())),
-            ("warmup".into(), Json::UInt(self.params.warmup)),
-            ("measure".into(), Json::UInt(self.params.measure)),
-            ("batch".into(), Json::Bool(self.batch_hint)),
-        ];
-        if let Some(s) = &self.sample {
-            fields.push((
-                "sample".into(),
-                Json::Obj(vec![
-                    ("intervals".into(), Json::UInt(u64::from(s.intervals))),
-                    ("interval_uops".into(), Json::UInt(s.interval_uops)),
-                    ("detail_warmup".into(), Json::UInt(s.detail_warmup)),
-                ]),
-            ));
-        }
-        Json::Obj(fields)
     }
 
     /// Parses the wire form, resolving `config` against `registry` (see
@@ -995,7 +976,7 @@ impl CellJob {
     /// # Errors
     ///
     /// A message naming the field: a missing or unknown workload/config,
-    /// a malformed window or `batch` flag, a zero `measure` (see
+    /// a malformed window, a zero `measure` (see
     /// [`window_from_json`]), or a `sample` object with a missing, zero
     /// or malformed field.
     pub fn from_json(
@@ -1017,17 +998,12 @@ impl CellJob {
             .find(|(n, _)| n == name)
             .map(|(_, c)| *c)
             .ok_or(format!("unknown config '{name}'"))?;
-        let batch_hint = match v.get("batch") {
-            None => true,
-            Some(b) => b.as_bool().ok_or("'batch' must be a boolean")?,
-        };
         let sample = v.get("sample").map(sample_from_json).transpose()?;
         Ok(CellJob {
             workload,
             config_name: name.to_string(),
             config,
             params: window_from_json(v, params)?,
-            batch_hint,
             sample,
         })
     }
@@ -1115,7 +1091,7 @@ pub enum WorkUnit {
 /// claim-exactly-once discipline cannot drift between the two.
 ///
 /// Planning groups cells by workload (first-seen order). Within a
-/// workload, cells that can share a lockstep batch — `batch_hint` set,
+/// workload, cells that can share a lockstep batch — exact,
 /// single-threaded, no virtual-physical registers, one common predictor
 /// (see [`wsrs_core::lockstep_compatible`]) — are grouped by predictor
 /// kind; everything else, and any group of one, runs scalar. Units of a
@@ -1157,10 +1133,7 @@ impl CellQueue {
                 if c.workload != w {
                     continue;
                 }
-                if !c.batch_hint
-                    || c.sample.is_some()
-                    || !lockstep_compatible(std::slice::from_ref(&c.config))
-                {
+                if c.sample.is_some() || !lockstep_compatible(std::slice::from_ref(&c.config)) {
                     units.push(WorkUnit::Scalar(i));
                 } else if let Some(g) = groups
                     .iter_mut()
@@ -1669,44 +1642,25 @@ mod tests {
     }
 
     #[test]
-    fn batch_hint_false_forces_scalar() {
-        let params = RunParams::default_scaled();
-        let configs = [
-            ("a", SimConfig::conventional_rr(256)),
-            ("b", SimConfig::conventional_rr(512)),
-        ];
-        let mut cells = row(Workload::Gzip, &configs, params);
-        cells[1].batch_hint = false;
-        let queue = CellQueue::plan(cells);
-        assert_eq!(
-            queue.units(),
-            &[WorkUnit::Scalar(1), WorkUnit::Scalar(0)],
-            "hinted-off cell scalar inline; singleton group degrades to scalar"
-        );
-    }
-
-    #[test]
-    fn cell_job_round_trips_through_json() {
-        let params = RunParams {
+    fn cell_job_parses_its_wire_form() {
+        let defaults = RunParams {
             warmup: 1_000,
             measure: 2_000,
         };
         let registry = config_registry();
-        // Registry entries carry telemetry switched on; the round trip
-        // must resolve to exactly that configuration.
+        // Registry entries carry telemetry switched on; parsing must
+        // resolve to exactly that configuration.
         let rr256 = registry.iter().find(|(n, _)| n == "RR 256").unwrap().1;
-        let job = CellJob::new(Workload::Swim, "RR 256", rr256, params);
-        let wire = job.to_json().to_string_compact();
-        let parsed = CellJob::from_json(&Json::parse(&wire).unwrap(), &registry, params).unwrap();
-        assert_eq!(parsed.workload, job.workload);
-        assert_eq!(parsed.config_name, job.config_name);
-        assert_eq!(parsed.config, job.config);
+        let wire = "{\"workload\":\"swim\",\"config\":\"RR 256\",\"warmup\":3000,\"measure\":4000}";
+        let parsed = CellJob::from_json(&Json::parse(wire).unwrap(), &registry, defaults).unwrap();
+        assert_eq!(parsed.workload, Workload::Swim);
+        assert_eq!(parsed.config_name, "RR 256");
+        assert_eq!(parsed.config, rr256);
         assert_eq!(
             (parsed.params.warmup, parsed.params.measure),
-            (1_000, 2_000)
+            (3_000, 4_000)
         );
-        assert!(parsed.batch_hint);
-
+        assert!(parsed.sample.is_none());
         assert_eq!(rr256.content_hash(), parsed.config.content_hash());
     }
 
@@ -1724,7 +1678,7 @@ mod tests {
             CellJob::from_json(&Json::parse(&body).unwrap(), &registry, params)
         };
         let plain = parse("").unwrap();
-        assert!(plain.batch_hint && plain.sample.is_none());
+        assert!(plain.sample.is_none());
         let sampled =
             parse(",\"sample\":{\"intervals\":4,\"interval_uops\":500,\"detail_warmup\":100}");
         assert_eq!(sampled.unwrap().sample.unwrap().intervals, 4);
@@ -1734,7 +1688,6 @@ mod tests {
             (",\"warmup\":-1", "'warmup'"),
             (",\"measure\":1.5", "'measure'"),
             (",\"measure\":0", "'measure'"),
-            (",\"batch\":1", "'batch'"),
             (",\"sample\":7", "'sample'"),
             (
                 ",\"sample\":{\"intervals\":4,\"interval_uops\":500}",

@@ -1,9 +1,10 @@
-//! Event-horizon cycle skipping is a pure wall-clock optimization: every
-//! cell of every gated experiment, at the full gate window, must report
-//! exactly what the cycle-by-cycle loop reports.
+//! Event-horizon cycle skipping and event-driven issue are pure
+//! wall-clock optimizations: every cell of every gated experiment, at the
+//! full gate window, must report exactly what the cycle-by-cycle loop and
+//! the O(window) selection scan report.
 //!
-//! Ignored by default because it simulates the whole gate twice; run it
-//! in release with
+//! Ignored by default because it simulates the whole gate three times;
+//! run it in release with
 //!
 //! ```sh
 //! cargo test --release -p wsrs-bench --test skip_equivalence -- --ignored
@@ -17,8 +18,8 @@ use wsrs_bench::{gate_experiments, RunEnv, TraceCache};
 use wsrs_core::Simulator;
 
 #[test]
-#[ignore = "simulates every gate cell twice; run in release with --ignored"]
-fn skipping_matches_cycle_by_cycle_on_every_gate_cell() {
+#[ignore = "simulates every gate cell three times; run in release with --ignored"]
+fn skipping_and_event_issue_match_their_oracles_on_every_gate_cell() {
     let params = gate_params();
     let cache = TraceCache::new(params).with_store(Some(RunEnv::from_env().store));
     let mut cells = 0;
@@ -30,11 +31,23 @@ fn skipping_matches_cycle_by_cycle_on_every_gate_cell() {
                 let skip = sim.run_measured(trace.iter().copied(), params.warmup, params.measure);
                 let exact =
                     sim.run_measured_no_skip(trace.iter().copied(), params.warmup, params.measure);
+                let scan = sim.run_measured_scan_oracle(
+                    trace.iter().copied(),
+                    params.warmup,
+                    params.measure,
+                );
                 // A Report's Debug rendering covers every field.
+                let skip = format!("{skip:?}");
                 assert_eq!(
-                    format!("{skip:?}"),
+                    skip,
                     format!("{exact:?}"),
                     "{experiment} {}/{name}: skipping changed the report",
+                    w.name()
+                );
+                assert_eq!(
+                    skip,
+                    format!("{scan:?}"),
+                    "{experiment} {}/{name}: event issue diverged from the scan",
                     w.name()
                 );
                 cells += 1;

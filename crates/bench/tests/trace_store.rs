@@ -156,8 +156,7 @@ fn cell_config() -> SimConfig {
 /// own single-cell [`CellQueue`] (like a `wsrs-serve` job) over `store`;
 /// returns their reports, rendered, and each run's trace provenance.
 fn scalar_cells(store: Option<&TraceStore>) -> (Vec<String>, Vec<TraceProvenance>) {
-    let mut exact = CellJob::new(Workload::Gzip, "conv", cell_config(), PARAMS);
-    exact.batch_hint = false;
+    let exact = CellJob::new(Workload::Gzip, "conv", cell_config(), PARAMS);
     let mut sampled = exact.clone();
     sampled.sample = Some(SPEC);
     let (mut reports, mut provenance) = (Vec::new(), Vec::new());

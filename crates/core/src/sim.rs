@@ -49,9 +49,6 @@ use wsrs_telemetry::{CycleAttribution, SlotBucket};
 /// Sentinel for "value not yet produced".
 const IN_FLIGHT: u64 = u64::MAX;
 
-/// Sentinel for "not a memory µop" in the window's `mem_seq` lane.
-const MEM_NONE: u64 = u64::MAX;
-
 /// Cycles of continuous blocked-and-empty rename before declaring
 /// deadlock. With an empty window nothing can commit, so the only registers
 /// that can still appear are the ones maturing out of the strategy-1
@@ -165,8 +162,8 @@ enum DispatchBlock {
 enum Redirect {
     /// Fetch is flowing.
     None,
-    /// A mispredicted branch (by fetch id) was fetched; waiting for it to
-    /// resolve.
+    /// A mispredicted branch was fetched at the given cycle; waiting for
+    /// it to resolve. Fetch stops behind it, so a thread has at most one.
     WaitingResolve(u64),
     /// Resolved; fetch resumes at the given cycle.
     WaitingCycle(u64),
@@ -176,7 +173,6 @@ enum Redirect {
 struct Fetched {
     d: DynInst,
     fetch_cycle: u64,
-    fetch_id: u64,
     mispredicted: bool,
     /// Cluster choice made on the first dispatch attempt; sticky across
     /// retries (hardware fixes the allocation before rename, §2.2).
@@ -328,23 +324,19 @@ pub(crate) struct Engine<'a> {
     rob: Rob,
     reg_info: [Vec<RegInfo>; 2],
     /// Per-thread fetch buffers, redirect states, store queues and
-    /// memory-order counters (single-threaded machines use index 0).
+    /// memory-order FIFOs (single-threaded machines use index 0).
     fetch_bufs: Vec<VecDeque<Fetched>>,
     redirects: Vec<Redirect>,
     store_queues: Vec<StoreQueue>,
-    /// Program-order index of the next memory µop allowed to issue, per
-    /// thread (addresses are computed in order within a thread, §5.2).
-    mem_next_issue: Vec<u64>,
-    mem_next_assign: Vec<u64>,
-    /// Event scheduler: per-thread seqs of the in-flight, unissued memory
-    /// µops in memory order. The front is the one µop of its thread that
-    /// may issue next; a younger one whose operands arrive first waits
-    /// parked ([`crate::slots::F_PARKED`]) until it reaches the front.
-    /// Each FIFO holds at most a window of seqs and is preallocated to
-    /// the ROB size.
+    /// Per-thread seqs of the in-flight, unissued memory µops in program
+    /// order (addresses are computed in order within a thread, §5.2).
+    /// The front is the one µop of its thread that may issue next; under
+    /// the event scheduler a younger one whose operands arrive first
+    /// waits parked ([`crate::slots::F_PARKED`]) until it reaches the
+    /// front. Each FIFO holds at most a window of seqs and is
+    /// preallocated to the ROB size.
     mem_order: Vec<VecDeque<u64>>,
     seq_next: u64,
-    fetch_id_next: u64,
     thread_retired: Vec<u64>,
     deadlock: DeadlockMonitor,
     deadlocked: bool,
@@ -389,10 +381,8 @@ pub(crate) struct Engine<'a> {
     occ_buf: Vec<usize>,
     free_buf: Vec<usize>,
     /// Issue scratch buffers, reused every cycle: destinations completed
-    /// this cycle (deferred writeback), resolved branch redirects, and the
-    /// wheel's drain staging.
+    /// this cycle (deferred writeback) and the wheel's drain staging.
     dest_updates: Vec<(PackedReg, u64)>,
-    redirect_buf: Vec<(usize, u64, u64)>,
     due_buf: Vec<u64>,
     /// Scan-path scratch: VP reservations per class/subset, zeroed in
     /// place at the top of each scan.
@@ -422,18 +412,7 @@ impl<'a> Engine<'a> {
             Self::initial_regs(&renamer, RegClass::Int, cfg),
             Self::initial_regs(&renamer, RegClass::Fp, cfg),
         ];
-        let vp = cfg.vp_phys_per_subset.map(|capacity| {
-            let subsets = cfg.renamer.subsets;
-            let count_arch = |class: RegClass| {
-                (0..subsets)
-                    .map(|s| renamer.map_table(class).mapped_into(Subset(s as u8)))
-                    .collect::<Vec<_>>()
-            };
-            VpState {
-                capacity,
-                used: [count_arch(RegClass::Int), count_arch(RegClass::Fp)],
-            }
-        });
+        let vp = Self::initial_vp(&renamer, cfg);
         Engine {
             cfg,
             cycle: 0,
@@ -450,13 +429,10 @@ impl<'a> Engine<'a> {
                 .collect(),
             redirects: vec![Redirect::None; cfg.threads],
             store_queues: vec![StoreQueue::new(); cfg.threads],
-            mem_next_issue: vec![0; cfg.threads],
-            mem_next_assign: vec![0; cfg.threads],
             mem_order: (0..cfg.threads)
                 .map(|_| VecDeque::with_capacity(cfg.rob_size()))
                 .collect(),
             seq_next: 0,
-            fetch_id_next: 0,
             thread_retired: vec![0; cfg.threads],
             deadlock: DeadlockMonitor::new(DEADLOCK_THRESHOLD),
             deadlocked: false,
@@ -478,7 +454,6 @@ impl<'a> Engine<'a> {
             occ_buf: Vec::with_capacity(cfg.clusters),
             free_buf: Vec::with_capacity(cfg.renamer.subsets),
             dest_updates: Vec::new(),
-            redirect_buf: Vec::new(),
             due_buf: Vec::new(),
             vp_reserved: [vec![0; cfg.renamer.subsets], vec![0; cfg.renamer.subsets]],
             victims_buf: Vec::new(),
@@ -536,16 +511,7 @@ impl<'a> Engine<'a> {
             Self::initial_regs(&self.renamer, RegClass::Int, self.cfg),
             Self::initial_regs(&self.renamer, RegClass::Fp, self.cfg),
         ];
-        if let Some(vp) = &mut self.vp {
-            let renamer = &self.renamer;
-            let subsets = self.cfg.renamer.subsets;
-            let count_arch = |class: RegClass| {
-                (0..subsets)
-                    .map(|s| renamer.map_table(class).mapped_into(Subset(s as u8)))
-                    .collect::<Vec<_>>()
-            };
-            vp.used = [count_arch(RegClass::Int), count_arch(RegClass::Fp)];
-        }
+        self.vp = Self::initial_vp(&self.renamer, self.cfg);
     }
 
     /// Repositions the allocation policy's RNG mid-stream (the sampled
@@ -576,6 +542,20 @@ impl<'a> Engine<'a> {
             v[m.phys.0 as usize].cluster = m.subset.0 % cfg.clusters as u8;
         }
         v
+    }
+
+    /// Virtual-physical state (`None` without VP): every subset starts
+    /// occupied by the architectural registers `renamer` maps into it.
+    fn initial_vp(renamer: &Renamer, cfg: &SimConfig) -> Option<VpState> {
+        let count_arch = |class: RegClass| {
+            (0..cfg.renamer.subsets)
+                .map(|s| renamer.map_table(class).mapped_into(Subset(s as u8)))
+                .collect()
+        };
+        cfg.vp_phys_per_subset.map(|capacity| VpState {
+            capacity,
+            used: [count_arch(RegClass::Int), count_arch(RegClass::Fp)],
+        })
     }
 
     /// Runs one trace per hardware thread to completion (plus pipeline
@@ -904,7 +884,7 @@ impl<'a> Engine<'a> {
         if self.rob.is_done(0) {
             // Issued, executing. Loads (and stores in their cache access)
             // are memory-bound; everything else is execution latency.
-            return if self.rob.is_load(0) || self.rob.is_store(0) {
+            return if self.rob.is_mem(0) {
                 SlotBucket::Memory
             } else {
                 SlotBucket::ExecLatency
@@ -931,8 +911,7 @@ impl<'a> Engine<'a> {
             }
         }
         // Operands usable; what else gates issue?
-        let mem_seq = self.rob.mem_seq(0);
-        if mem_seq != MEM_NONE && mem_seq != self.mem_next_issue[self.rob.thread(0) as usize] {
+        if !self.mem_order_allows(0) {
             return SlotBucket::Memory; // memory-order serialization
         }
         if self.vp.is_some() && !self.vp_can_alloc(self.rob.dst(0), None) {
@@ -1020,19 +999,16 @@ impl<'a> Engine<'a> {
                     self.mispredicts += 1;
                 }
             }
-            let fetch_id = self.fetch_id_next;
-            self.fetch_id_next += 1;
             self.fetch_bufs[tid].push_back(Fetched {
                 d: a.d,
                 fetch_cycle: self.cycle,
-                fetch_id,
                 mispredicted: a.mispredicted,
                 choice: None,
             });
             if a.mispredicted {
                 // Fetch stalls until the branch resolves; the wrong path is
                 // never simulated.
-                self.redirects[tid] = Redirect::WaitingResolve(fetch_id);
+                self.redirects[tid] = Redirect::WaitingResolve(self.cycle);
                 return;
             }
         }
@@ -1170,16 +1146,12 @@ impl<'a> Engine<'a> {
                 self.seq_next += 1;
                 budget -= 1;
 
-                let mem_seq = if d.is_load() || d.is_store() {
-                    let ms = self.mem_next_assign[tid];
-                    self.mem_next_assign[tid] += 1;
+                if d.is_load() || d.is_store() {
+                    self.mem_order[tid].push_back(seq);
                     if d.is_store() {
                         self.store_queues[tid].insert(seq, d.eff_addr.expect("store has address"));
                     }
-                    ms
-                } else {
-                    MEM_NONE
-                };
+                }
 
                 // Event-scheduler registration: this consumer is threaded
                 // onto each in-flight producer's intrusive waiter list (a
@@ -1210,9 +1182,6 @@ impl<'a> Engine<'a> {
                     }
                     if pending_srcs == 0 {
                         self.wheel.schedule(ready_at, seq);
-                    }
-                    if mem_seq != MEM_NONE {
-                        self.mem_order[tid].push_back(seq);
                     }
                 }
 
@@ -1249,7 +1218,6 @@ impl<'a> Engine<'a> {
                 self.rob.push(SlotPush {
                     seq,
                     dispatch_cycle: self.cycle,
-                    mem_seq,
                     srcs,
                     dst,
                     old_phys,
@@ -1260,8 +1228,6 @@ impl<'a> Engine<'a> {
                     pending_srcs,
                     old_subset,
                     next_waiter,
-                    fetch_cycle: fetched.fetch_cycle,
-                    fetch_id: fetched.fetch_id,
                     eff_addr: d.eff_addr.unwrap_or(0),
                 });
             }
@@ -1409,9 +1375,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Issue-time bookkeeping shared by the event path and the legacy
-    /// scan: timestamps completion, marks the slot done, advances memory
-    /// order, and queues the deferred writeback / front-end redirect into
-    /// the engine-owned scratch buffers.
+    /// scan: timestamps completion, marks the slot done, pops the µop off
+    /// its thread's memory order, queues the deferred writeback, and
+    /// schedules a mispredicted branch's fetch resume. Fetch reads the
+    /// redirect only next cycle, so it is written at once.
     fn complete_issue(&mut self, i: usize) {
         let (lat, forwarded) = self.exec_latency(i);
         if forwarded {
@@ -1425,31 +1392,29 @@ impl<'a> Engine<'a> {
                 e.complete = done_cycle;
             }
         }
-        if self.rob.mem_seq(i) != MEM_NONE {
-            self.mem_next_issue[self.rob.thread(i) as usize] += 1;
+        let tid = self.rob.thread(i) as usize;
+        if self.rob.is_mem(i) {
+            let popped = self.mem_order[tid].pop_front();
+            debug_assert_eq!(popped, Some(self.rob.seq_at(i)), "memory order broken");
         }
         let dst = self.rob.dst(i);
         if dst.is_some() {
             self.dest_updates.push((dst, done_cycle));
         }
         if self.rob.mispredicted(i) {
-            let resume =
-                (done_cycle + 1).max(self.rob.fetch_cycle(i) + self.cfg.min_mispredict_penalty);
-            self.redirect_buf
-                .push((self.rob.thread(i) as usize, self.rob.fetch_id(i), resume));
+            let Redirect::WaitingResolve(fetch_cycle) = self.redirects[tid] else {
+                unreachable!("fetch waits on every unresolved mispredicted branch");
+            };
+            let resume = (done_cycle + 1).max(fetch_cycle + self.cfg.min_mispredict_penalty);
+            self.redirects[tid] = Redirect::WaitingCycle(resume);
         }
     }
 
-    /// Applies (and clears) the front-end redirects queued by
-    /// [`Self::complete_issue`].
-    fn apply_redirects(&mut self) {
-        for k in 0..self.redirect_buf.len() {
-            let (tid, fetch_id, resume) = self.redirect_buf[k];
-            if self.redirects[tid] == Redirect::WaitingResolve(fetch_id) {
-                self.redirects[tid] = Redirect::WaitingCycle(resume);
-            }
-        }
-        self.redirect_buf.clear();
+    /// Whether memory order lets slot `i` issue: it is not a memory µop,
+    /// or it is the front of its thread's memory-order FIFO.
+    fn mem_order_allows(&self, i: usize) -> bool {
+        !self.rob.is_mem(i)
+            || self.mem_order[self.rob.thread(i) as usize].front() == Some(&self.rob.seq_at(i))
     }
 
     /// Event-driven selection: only µops whose operands are known-usable
@@ -1483,9 +1448,7 @@ impl<'a> Engine<'a> {
                 let seq = self.due_buf[k];
                 let idx = (seq - front_seq) as usize;
                 debug_assert!(!self.rob.is_done(idx));
-                if self.rob.mem_seq(idx) == MEM_NONE
-                    || self.mem_order[self.rob.thread(idx) as usize].front() == Some(&seq)
-                {
+                if self.mem_order_allows(idx) {
                     self.rob.set_ready(idx);
                 } else {
                     self.rob.park(idx);
@@ -1513,10 +1476,8 @@ impl<'a> Engine<'a> {
             debug_assert!(self.rob.dispatch_cycle(idx) < self.cycle);
             debug_assert!(self.srcs_ready(self.rob.srcs(idx), self.rob.cluster(idx)));
             let cluster = self.rob.cluster(idx) as usize;
-            let mem_seq = self.rob.mem_seq(idx);
             debug_assert!(
-                mem_seq == MEM_NONE
-                    || mem_seq == self.mem_next_issue[self.rob.thread(idx) as usize],
+                self.mem_order_allows(idx),
                 "a memory-order-gated µop was awake"
             );
             if !self.clusters[cluster].try_issue(self.rob.class(idx), self.cycle) {
@@ -1524,11 +1485,9 @@ impl<'a> Engine<'a> {
             }
             self.rob.clear_ready(idx);
             self.complete_issue(idx);
-            if mem_seq != MEM_NONE {
-                let order = &mut self.mem_order[self.rob.thread(idx) as usize];
-                debug_assert_eq!(order.front(), Some(&(front_seq + idx as u64)));
-                order.pop_front();
-                if let Some(&next) = order.front() {
+            if self.rob.is_mem(idx) {
+                // Unpark the thread's new memory-order front.
+                if let Some(&next) = self.mem_order[self.rob.thread(idx) as usize].front() {
                     let nidx = (next - front_seq) as usize;
                     if self.rob.unpark(nidx) {
                         self.rob.set_ready(nidx);
@@ -1581,7 +1540,6 @@ impl<'a> Engine<'a> {
             }
         }
         self.dest_updates.clear();
-        self.apply_redirects();
     }
 
     /// A waiting µop that does not issue this scan iteration keeps a
@@ -1625,8 +1583,7 @@ impl<'a> Engine<'a> {
                     && self.rob.dispatch_cycle(i) < self.cycle
                     && self.clusters[self.rob.cluster(i) as usize].has_issue_slot()
                     && self.srcs_ready(self.rob.srcs(i), self.rob.cluster(i))
-                    && (self.rob.mem_seq(i) == MEM_NONE
-                        || self.rob.mem_seq(i) == self.mem_next_issue[self.rob.thread(i) as usize])
+                    && self.mem_order_allows(i)
                     && self.vp_can_alloc(self.rob.dst(i), Some(&self.vp_reserved))
             };
             if !ready {
@@ -1658,7 +1615,6 @@ impl<'a> Engine<'a> {
             self.reg_info[dst.class_index()][dst.phys()].avail = done;
         }
         self.dest_updates.clear();
-        self.apply_redirects();
         self.vp_watch();
     }
 

@@ -6,10 +6,10 @@
 //! ready-candidate probe, waiter-chain hop and head inspection lands on a
 //! line that has long since been evicted. Splitting the window into
 //! per-field lanes shrinks what each loop actually touches: the selection
-//! scan reads `cluster`/`class`/`mem_seq`/`thread` (one byte lane each
-//! plus one word lane — the whole scheduling working set now sits in L1),
-//! the waiter walk touches only `next_waiter`/`pending_srcs`/`srcs`, and
-//! commit drains the bookkeeping lanes nobody else reads.
+//! scan reads the `cluster`/`class`/`thread`/`flags` byte lanes (the
+//! whole scheduling working set now sits in L1), the waiter walk touches
+//! only `next_waiter`/`pending_srcs`/`srcs`, and commit drains the
+//! bookkeeping lanes nobody else reads.
 //!
 //! The batched lockstep engine ([`crate::batch`]) gives each
 //! configuration lane its own [`Rob`], so per-slot state across a batch
@@ -86,7 +86,6 @@ impl PackedReg {
 pub(crate) struct SlotPush {
     pub seq: u64,
     pub dispatch_cycle: u64,
-    pub mem_seq: u64,
     pub srcs: [PackedReg; 2],
     pub dst: PackedReg,
     pub old_phys: u32,
@@ -97,8 +96,6 @@ pub(crate) struct SlotPush {
     pub pending_srcs: u8,
     pub old_subset: u8,
     pub next_waiter: [u64; 2],
-    pub fetch_cycle: u64,
-    pub fetch_id: u64,
     pub eff_addr: u64,
 }
 
@@ -139,7 +136,6 @@ pub(crate) struct Rob {
     seq_front: u64,
     done_cycle: Vec<u64>,
     dispatch_cycle: Vec<u64>,
-    mem_seq: Vec<u64>,
     srcs: Vec<[PackedReg; 2]>,
     dst: Vec<PackedReg>,
     old_phys: Vec<u32>,
@@ -150,8 +146,6 @@ pub(crate) struct Rob {
     pending_srcs: Vec<u8>,
     old_subset: Vec<u8>,
     next_waiter: Vec<[u64; 2]>,
-    fetch_cycle: Vec<u64>,
-    fetch_id: Vec<u64>,
     eff_addr: Vec<u64>,
     /// Per-cluster ready bitmaps over *physical* ring positions — the
     /// software analogue of the paper's narrowed select. One plane of
@@ -179,7 +173,6 @@ impl Rob {
             seq_front: 0,
             done_cycle: vec![0; cap],
             dispatch_cycle: vec![0; cap],
-            mem_seq: vec![0; cap],
             srcs: vec![[PackedReg::NONE; 2]; cap],
             dst: vec![PackedReg::NONE; cap],
             old_phys: vec![0; cap],
@@ -190,8 +183,6 @@ impl Rob {
             pending_srcs: vec![0; cap],
             old_subset: vec![0; cap],
             next_waiter: vec![[LINK_NONE; 2]; cap],
-            fetch_cycle: vec![0; cap],
-            fetch_id: vec![0; cap],
             eff_addr: vec![0; cap],
             ready: vec![0; ready_words * planes.max(1)],
             ready_words,
@@ -235,7 +226,6 @@ impl Rob {
         self.len += 1;
         self.done_cycle[p] = 0;
         self.dispatch_cycle[p] = s.dispatch_cycle;
-        self.mem_seq[p] = s.mem_seq;
         self.srcs[p] = s.srcs;
         self.dst[p] = s.dst;
         self.old_phys[p] = s.old_phys;
@@ -246,8 +236,6 @@ impl Rob {
         self.pending_srcs[p] = s.pending_srcs;
         self.old_subset[p] = s.old_subset;
         self.next_waiter[p] = s.next_waiter;
-        self.fetch_cycle[p] = s.fetch_cycle;
-        self.fetch_id[p] = s.fetch_id;
         self.eff_addr[p] = s.eff_addr;
     }
 
@@ -278,11 +266,6 @@ impl Rob {
     #[inline]
     pub(crate) fn dispatch_cycle(&self, i: usize) -> u64 {
         self.dispatch_cycle[self.at(i)]
-    }
-
-    #[inline]
-    pub(crate) fn mem_seq(&self, i: usize) -> u64 {
-        self.mem_seq[self.at(i)]
     }
 
     #[inline]
@@ -330,9 +313,11 @@ impl Rob {
         self.flags(i) & F_LOAD != 0
     }
 
+    /// Whether slot `i` is a load or a store (its thread's memory order
+    /// gates its issue).
     #[inline]
-    pub(crate) fn is_store(&self, i: usize) -> bool {
-        self.flags(i) & F_STORE != 0
+    pub(crate) fn is_mem(&self, i: usize) -> bool {
+        self.flags(i) & (F_LOAD | F_STORE) != 0
     }
 
     #[inline]
@@ -343,16 +328,6 @@ impl Rob {
     #[inline]
     pub(crate) fn eff_addr(&self, i: usize) -> u64 {
         self.eff_addr[self.at(i)]
-    }
-
-    #[inline]
-    pub(crate) fn fetch_cycle(&self, i: usize) -> u64 {
-        self.fetch_cycle[self.at(i)]
-    }
-
-    #[inline]
-    pub(crate) fn fetch_id(&self, i: usize) -> u64 {
-        self.fetch_id[self.at(i)]
     }
 
     /// Marks slot `i` issued: records its completion cycle and sets

@@ -40,7 +40,7 @@ use wsrs_bench::manifest::cell_record;
 use wsrs_bench::{config_registry, CellQueue, CellResult, RunEnv, RunParams, TraceCache};
 use wsrs_core::SimConfig;
 use wsrs_telemetry::Json;
-use wsrs_trace::{TraceFile, TraceKey, TraceStore};
+use wsrs_trace::{TraceKey, TraceStore};
 use wsrs_workloads::Workload;
 
 use crate::http::{read_request, respond, respond_error, ChunkedWriter, Request};
@@ -247,7 +247,8 @@ impl ServerState {
     }
 
     /// The content checksum of the stored trace for (workload, window),
-    /// if that trace has been recorded; hashed once and cached.
+    /// if a trace whose header matches that key has been recorded;
+    /// hashed once and cached.
     fn trace_checksum(&self, w: Workload, params: RunParams) -> Option<u64> {
         let key = (w, params.warmup, params.measure);
         if let Some(&c) = self.trace_checksums.lock().unwrap().get(&key) {
@@ -259,9 +260,7 @@ impl ServerState {
             measure: params.measure,
             rev: w.trace_fingerprint(),
         };
-        let checksum = TraceFile::open(&self.store.path_for(&trace_key))
-            .ok()?
-            .checksum();
+        let checksum = self.store.open(&trace_key).ok()?.checksum();
         self.trace_checksums.lock().unwrap().insert(key, checksum);
         Some(checksum)
     }

@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use wsrs_bench::client;
 use wsrs_serve::{MemoKey, MemoStore, Server, ServerOptions};
 use wsrs_telemetry::Json;
+use wsrs_trace::TraceKey;
 
 /// A tiny two-cell grid (distinct workloads, so two scalar units).
 const GRID: &str = "{\"warmup\": 2000, \"measure\": 4000, \"cells\": [\
@@ -347,6 +348,69 @@ fn cell_lines_carry_no_skip_flag_and_stale_revisions_miss() {
         .gc(wsrs_core::sim_revision(), false)
         .unwrap();
     assert_eq!((gc.kept, gc.stale, gc.malformed), (1, 1, 0));
+    let _ = std::fs::remove_dir_all(&memo_dir);
+    let _ = std::fs::remove_dir_all(&trace_dir);
+}
+
+/// A memo lookup only trusts a stored trace whose header matches the
+/// requested window: a trace renamed to another window's file name must
+/// not make that window replay the first window's memoized result.
+#[test]
+fn renamed_trace_does_not_serve_another_windows_memo_entry() {
+    let cell = |measure: u64| {
+        format!(
+            "{{\"warmup\": 2000, \"measure\": {measure}, \"cells\": [\
+             {{\"workload\": \"gzip\", \"config\": \"RR 256\"}}]}}"
+        )
+    };
+    let memo_dir = temp_dir("memo-renamed");
+    let trace_dir = temp_dir("traces-renamed");
+    let opts = ServerOptions {
+        workers: 1,
+        paused: false,
+        memo_dir: memo_dir.clone(),
+        trace_dir: trace_dir.clone(),
+    };
+    let server = Server::bind("127.0.0.1:0", &opts).expect("bind");
+    let addr = server.addr().to_string();
+    let shutdown = server.shutdown_handle();
+    let server_thread = std::thread::spawn(move || server.run(1));
+    let trace_checksum = |streamed: &str| {
+        let line = streamed.lines().nth(1).expect("one cell line");
+        let v = Json::parse(line).expect("complete JSON line");
+        v.get("trace_checksum")
+            .and_then(Json::as_str)
+            .expect("trace checksum")
+            .to_string()
+    };
+
+    let first = submit(&addr, &cell(4000));
+    wait_done(&addr, first);
+    let w1 = trace_checksum(&stream(&addr, first));
+
+    // Plant the recorded trace under the file name of a wider window.
+    let names: Vec<String> = std::fs::read_dir(&trace_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| TraceKey::parse_file_name(n).is_some())
+        .collect();
+    assert_eq!(names.len(), 1, "{names:?}");
+    let key = TraceKey::parse_file_name(&names[0]).unwrap();
+    assert_eq!(key.measure, 4000);
+    let wider = TraceKey {
+        measure: 5000,
+        ..key
+    };
+    std::fs::rename(trace_dir.join(&names[0]), trace_dir.join(wider.file_name())).unwrap();
+
+    let second = submit(&addr, &cell(5000));
+    assert_eq!(status_field(&addr, second, "memoized"), 0);
+    assert_eq!(status_field(&addr, second, "simulated"), 1);
+    wait_done(&addr, second);
+    assert_ne!(trace_checksum(&stream(&addr, second)), w1);
+
+    shutdown();
+    server_thread.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&memo_dir);
     let _ = std::fs::remove_dir_all(&trace_dir);
 }
