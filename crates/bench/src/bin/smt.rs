@@ -34,13 +34,13 @@ fn base() -> SimConfig {
 
 fn main() {
     let mut smt_cfg = base();
-    smt_cfg.set_threads(2);
+    smt_cfg.threads = 2;
     smt_cfg.deadlock_recovery = true;
     println!(
         "static §2.3 rule (2 threads x 80 logical vs {} regs/subset): {}\n",
-        smt_cfg.renamer.per_subset(wsrs_isa::RegClass::Int),
+        smt_cfg.renamer().per_subset(wsrs_isa::RegClass::Int),
         if smt_cfg
-            .renamer
+            .renamer()
             .statically_deadlock_free(wsrs_isa::RegClass::Int)
         {
             "satisfied"

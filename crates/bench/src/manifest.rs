@@ -6,7 +6,7 @@
 use crate::{RunParams, SampleOutcome, TraceProvenance};
 use std::path::{Path, PathBuf};
 use wsrs_core::{Report, SimConfig};
-use wsrs_telemetry::manifest::{config_hash, git_revision, SCHEMA_VERSION};
+use wsrs_telemetry::manifest::{git_revision, SCHEMA_VERSION};
 use wsrs_telemetry::{CellRecord, RunManifest, TraceRecord};
 use wsrs_workloads::Workload;
 
@@ -70,7 +70,6 @@ pub fn cell_record(
     CellRecord {
         workload: w.name().to_string(),
         config: config_name.to_string(),
-        config_hash: config_hash(&format!("{cfg:?}")),
         config_content_hash: format!("{:016x}", cfg.content_hash()),
         ipc: r.ipc(),
         cycles: r.cycles,
@@ -235,9 +234,7 @@ mod tests {
         assert!(attr.conserved());
         let parsed = RunManifest::parse(&m.to_json_string()).expect("roundtrip");
         assert_eq!(parsed, m);
-        // The two configs must fingerprint differently, under both the
-        // Debug-rendering hash and the canonical content hash.
-        assert_ne!(m.cells[0].config_hash, m.cells[1].config_hash);
+        // The two configs must fingerprint differently.
         assert_ne!(
             m.cells[0].config_content_hash,
             m.cells[1].config_content_hash

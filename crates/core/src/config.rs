@@ -70,8 +70,16 @@ pub struct SimConfig {
     pub mode: RegFileMode,
     /// Cluster allocation policy.
     pub policy: AllocPolicy,
-    /// Renamer configuration (subset count must agree with `mode`).
-    pub renamer: RenamerConfig,
+    /// Physical integer registers, split evenly across the register
+    /// subsets (the paper's 256/384/512).
+    pub int_regs: usize,
+    /// Physical floating-point registers, split likewise (see
+    /// [`SimConfig::fp_regs_for`]).
+    pub fp_regs: usize,
+    /// Which §2.2 renaming implementation the rename stage models.
+    /// Conventional machines use [`RenameStrategy::ExactCount`], whose
+    /// free lists append directly.
+    pub strategy: RenameStrategy,
     /// Data-memory hierarchy.
     pub hierarchy: HierarchyConfig,
     /// Bypass reach.
@@ -152,7 +160,9 @@ impl SimConfig {
             mode: RegFileMode::Conventional,
             policy: AllocPolicy::RoundRobin,
             resources: [Resources::ev6_cluster(); 4],
-            renamer: RenamerConfig::conventional(int_regs, Self::fp_regs_for(int_regs)),
+            int_regs,
+            fp_regs: Self::fp_regs_for(int_regs),
+            strategy: RenameStrategy::ExactCount,
             hierarchy: HierarchyConfig::paper(),
             fast_forward: FastForward::IntraCluster,
             predictor: PredictorKind::TwoBcGskew512K,
@@ -246,11 +256,7 @@ impl SimConfig {
                     ..none
                 },
             ],
-            renamer: RenamerConfig::write_specialized(
-                int_regs,
-                Self::fp_regs_for(int_regs),
-                strategy,
-            ),
+            strategy,
             // Pools live in one spatial domain: complete forwarding, like
             // the monolithic baseline they are compared against.
             fast_forward: FastForward::Complete,
@@ -268,11 +274,7 @@ impl SimConfig {
             min_mispredict_penalty: 16,
             mode: RegFileMode::WriteSpecialized,
             policy: AllocPolicy::RoundRobin,
-            renamer: RenamerConfig::write_specialized(
-                int_regs,
-                Self::fp_regs_for(int_regs),
-                strategy,
-            ),
+            strategy,
             ..Self::conventional_rr(int_regs)
         }
     }
@@ -291,19 +293,28 @@ impl SimConfig {
             min_mispredict_penalty: penalty,
             mode: RegFileMode::Wsrs,
             policy,
-            renamer: RenamerConfig::write_specialized(
-                int_regs,
-                Self::fp_regs_for(int_regs),
-                strategy,
-            ),
+            strategy,
             ..Self::conventional_rr(int_regs)
         }
     }
 
-    /// Total in-flight window (ROB) size.
+    /// The rename stage's configuration, derived from the organization:
+    /// one register subset per cluster under write specialization (§2:
+    /// cluster `Ci` writes subset `Si`), one for a conventional file; one
+    /// map table per hardware thread; the recycling depth follows
+    /// [`Self::strategy`].
     #[must_use]
-    pub fn rob_size(&self) -> usize {
-        self.rob
+    pub fn renamer(&self) -> RenamerConfig {
+        RenamerConfig {
+            subsets: match self.mode {
+                RegFileMode::Conventional => 1,
+                RegFileMode::WriteSpecialized | RegFileMode::Wsrs => self.clusters,
+            },
+            int_regs: self.int_regs,
+            fp_regs: self.fp_regs,
+            strategy: self.strategy,
+            threads: self.threads,
+        }
     }
 
     /// Ring size (in cycles) for the event scheduler's calendar wheel: the
@@ -330,13 +341,13 @@ impl SimConfig {
     }
 
     /// Canonical content hash of this configuration: a stable
-    /// field-order FNV-1a digest covering **every timing-relevant field**
-    /// (two configurations compare equal iff their hashes match, up to
-    /// FNV collisions). Unlike the `Debug`-rendering fingerprint in run
-    /// manifests, the field order and encoding here are explicit and
-    /// versioned (`wsrs-simconfig-v1`), so the digest is safe to use as a
-    /// persistent cache key — `wsrs-serve` keys its memoized cell results
-    /// on (this hash, trace checksum, [`crate::sim_revision`]).
+    /// field-order FNV-1a digest covering **every field** (two
+    /// configurations compare equal iff their hashes match, up to FNV
+    /// collisions). The field order and encoding are explicit and
+    /// versioned (`wsrs-simconfig-v2`), so the digest is the one
+    /// configuration fingerprint: run manifests record it per cell, and
+    /// `wsrs-serve` keys its memoized cell results on (this hash, trace
+    /// checksum, [`crate::sim_revision`]).
     ///
     /// Adding a field to [`SimConfig`] must extend this digest; the
     /// `content_hash_covers_every_field` test enumerates one mutation per
@@ -344,7 +355,7 @@ impl SimConfig {
     #[must_use]
     pub fn content_hash(&self) -> u64 {
         let mut h = wsrs_isa::Fnv1a::new();
-        h.write(b"wsrs-simconfig-v1;");
+        h.write(b"wsrs-simconfig-v2;");
         h.write_u64(self.clusters as u64);
         for r in &self.resources {
             h.write_u64(u64::from(r.issue_width));
@@ -370,16 +381,12 @@ impl SimConfig {
             AllocPolicy::LoadBalance => 3,
             AllocPolicy::ByKind => 4,
         });
-        h.write_u64(self.renamer.subsets as u64);
-        h.write_u64(self.renamer.int_regs as u64);
-        h.write_u64(self.renamer.fp_regs as u64);
-        h.write_u8(match self.renamer.strategy {
+        h.write_u64(self.int_regs as u64);
+        h.write_u64(self.fp_regs as u64);
+        h.write_u8(match self.strategy {
             RenameStrategy::Recycling => 0,
             RenameStrategy::ExactCount => 1,
         });
-        h.write_u64(self.renamer.recycle_delay);
-        h.write_u64(self.renamer.rename_width as u64);
-        h.write_u64(self.renamer.threads as u64);
         for c in [self.hierarchy.l1, self.hierarchy.l2] {
             h.write_u64(c.size_bytes as u64);
             h.write_u64(c.line_bytes as u64);
@@ -420,48 +427,31 @@ impl SimConfig {
         h.finish()
     }
 
-    /// Configures `n` hardware threads (SMT), keeping the renamer's
-    /// map-table count in sync.
-    pub fn set_threads(&mut self, n: usize) {
-        self.threads = n;
-        self.renamer.threads = n;
-    }
-
     /// Enables virtual-physical registers with `per_subset` physical
     /// registers per class and subset. The renamer's budgets are switched
     /// to a large virtual tag space (4096 tags per subset per class).
     pub fn set_virtual_physical(&mut self, per_subset: usize) {
         self.vp_phys_per_subset = Some(per_subset);
-        self.renamer.int_regs = 4096 * self.renamer.subsets;
-        self.renamer.fp_regs = 4096 * self.renamer.subsets;
+        let subsets = self.renamer().subsets;
+        self.int_regs = 4096 * subsets;
+        self.fp_regs = 4096 * subsets;
     }
 
     /// Validates internal consistency.
     ///
     /// # Panics
     ///
-    /// Panics if the mode and renamer subset count disagree, or the
-    /// geometry is degenerate.
+    /// Panics if the geometry is degenerate.
     pub fn validate(&self) {
         assert!(self.clusters.is_power_of_two() && self.clusters >= 1);
-        match self.mode {
-            RegFileMode::Conventional => assert_eq!(self.renamer.subsets, 1),
-            RegFileMode::WriteSpecialized | RegFileMode::Wsrs => {
-                assert_eq!(self.renamer.subsets, self.clusters);
-            }
-        }
         assert!(self.fetch_width >= 1);
         assert!(self.rob >= self.fetch_width);
         assert!(self.threads >= 1);
-        assert_eq!(
-            self.threads, self.renamer.threads,
-            "SMT thread count must match the renamer's map-table count"
-        );
         if let Some(cap) = self.vp_phys_per_subset {
             // Each subset must hold its share of architectural state plus
             // the one register reserved for the oldest waiting µop.
             assert!(
-                cap > 80usize.div_ceil(self.renamer.subsets),
+                cap > 80usize.div_ceil(self.renamer().subsets),
                 "virtual-physical capacity too small for architectural state"
             );
         }
@@ -515,9 +505,36 @@ mod tests {
     #[test]
     fn geometry_matches_paper() {
         let c = SimConfig::conventional_rr(256);
-        assert_eq!(c.rob_size(), 224);
+        assert_eq!(c.renamer(), RenamerConfig::conventional(256, 128));
         c.validate();
         SimConfig::wsrs(384, AllocPolicy::RandomMonadic, RenameStrategy::ExactCount).validate();
+    }
+
+    #[test]
+    fn renamer_geometry_follows_the_organization() {
+        let subsets = |c: SimConfig| c.renamer().subsets;
+        assert_eq!(subsets(SimConfig::conventional_rr(256)), 1);
+        assert_eq!(subsets(SimConfig::monolithic(256)), 1);
+        let strategy = RenameStrategy::Recycling;
+        assert_eq!(subsets(SimConfig::write_specialized_rr(384, strategy)), 4);
+        assert_eq!(
+            subsets(SimConfig::pooled_write_specialized(512, strategy)),
+            4
+        );
+        let mut wsrs = SimConfig::wsrs(512, AllocPolicy::RandomCommutative, strategy);
+        assert_eq!(
+            wsrs.renamer(),
+            RenamerConfig::write_specialized(512, 256, strategy)
+        );
+        assert_eq!(
+            wsrs.renamer().recycle_delay(),
+            wsrs_regfile::renamer::RECYCLE_DELAY
+        );
+        wsrs.threads = 2;
+        wsrs.strategy = RenameStrategy::ExactCount;
+        assert_eq!(wsrs.renamer().threads, 2);
+        assert_eq!(wsrs.renamer().recycle_delay(), 0);
+        wsrs.validate();
     }
 
     #[test]
@@ -525,13 +542,11 @@ mod tests {
         let m = SimConfig::monolithic(256);
         m.validate();
         assert_eq!(m.clusters, 1);
-        assert_eq!(m.rob_size(), 224);
         assert_eq!(m.resources[0].issue_width, 8);
 
         let p = SimConfig::pooled_write_specialized(512, RenameStrategy::ExactCount);
         p.validate();
         assert_eq!(p.clusters, 4);
-        assert_eq!(p.rob_size(), 224);
         // Total functional units match the 4-cluster machine.
         let total_alus: u32 = p.resources.iter().map(|r| r.alus).sum();
         let total_ldst: u32 = p.resources.iter().map(|r| r.ldsts).sum();
@@ -551,14 +566,6 @@ mod tests {
         assert_eq!(pair.penalty(0, 1), 0, "C0,C1 share f=0");
         assert_eq!(pair.penalty(0, 2), 1);
         assert_eq!(FastForward::Complete.penalty(0, 3), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn inconsistent_mode_panics() {
-        let mut c = SimConfig::conventional_rr(256);
-        c.mode = RegFileMode::Wsrs;
-        c.validate();
     }
 
     /// One mutation per [`SimConfig`] field (including every nested
@@ -593,15 +600,9 @@ mod tests {
         });
         push("mode", &|c| c.mode = RegFileMode::WriteSpecialized);
         push("policy", &|c| c.policy = AllocPolicy::LoadBalance);
-        push("renamer.subsets", &|c| c.renamer.subsets += 1);
-        push("renamer.int_regs", &|c| c.renamer.int_regs += 1);
-        push("renamer.fp_regs", &|c| c.renamer.fp_regs += 1);
-        push("renamer.strategy", &|c| {
-            c.renamer.strategy = RenameStrategy::Recycling;
-        });
-        push("renamer.recycle_delay", &|c| c.renamer.recycle_delay += 1);
-        push("renamer.rename_width", &|c| c.renamer.rename_width += 1);
-        push("renamer.threads", &|c| c.renamer.threads += 1);
+        push("int_regs", &|c| c.int_regs += 1);
+        push("fp_regs", &|c| c.fp_regs += 1);
+        push("strategy", &|c| c.strategy = RenameStrategy::Recycling);
         push("hierarchy.l1.size_bytes", &|c| {
             c.hierarchy.l1.size_bytes *= 2;
         });

@@ -63,7 +63,9 @@ mod wheel;
 /// NOT bump it.
 ///
 /// v2: cell lines no longer carry the `skip` provenance flag.
-pub const SIM_REVISION_TAG: &str = "wsrs-sim-v2";
+/// v3: cell lines carry one configuration fingerprint,
+/// `config_content_hash`; the `Debug`-text `config_hash` is gone.
+pub const SIM_REVISION_TAG: &str = "wsrs-sim-v3";
 
 /// FNV-1a digest of [`SIM_REVISION_TAG`] — the simulator-revision
 /// component of content-addressed cell-result keys.

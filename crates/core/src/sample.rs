@@ -161,7 +161,7 @@ pub fn warm_state_key(cfg: &SimConfig) -> u64 {
         h.write(cfg.policy.to_string().as_bytes());
         h.write_u8(b';');
         h.write_u64(cfg.seed);
-        h.write_u64(cfg.renamer.subsets as u64);
+        h.write_u64(cfg.renamer().subsets as u64);
     }
     h.finish()
 }
@@ -195,7 +195,7 @@ impl MapWarmer {
     /// The reset map (`i % subsets`) and a freshly seeded allocator,
     /// matching `Renamer::new` and `Engine::new`.
     fn new(cfg: &SimConfig) -> MapWarmer {
-        let subsets = cfg.renamer.subsets;
+        let subsets = cfg.renamer().subsets;
         let reset = |class: RegClass| {
             (0..class.logical_count())
                 .map(|i| (i % subsets) as u8)
@@ -249,7 +249,7 @@ impl MapWarmer {
     /// Decodes a section for `cfg`; `None` on any length or subset-range
     /// mismatch.
     fn decode(cfg: &SimConfig, bytes: &[u8]) -> Option<MapWarmer> {
-        let subsets = cfg.renamer.subsets;
+        let subsets = cfg.renamer().subsets;
         let (ni, nf) = (RegClass::Int.logical_count(), RegClass::Fp.logical_count());
         if bytes.len() != 8 + ni + nf {
             return None;

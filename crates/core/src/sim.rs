@@ -407,12 +407,13 @@ pub(crate) struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     pub(crate) fn new(cfg: &'a SimConfig) -> Self {
-        let renamer = Renamer::new(cfg.renamer);
+        let renamer = Renamer::new(cfg.renamer());
+        let subsets = renamer.config().subsets;
         let reg_info = [
-            Self::initial_regs(&renamer, RegClass::Int, cfg),
-            Self::initial_regs(&renamer, RegClass::Fp, cfg),
+            Self::initial_regs(&renamer, RegClass::Int, cfg.clusters),
+            Self::initial_regs(&renamer, RegClass::Fp, cfg.clusters),
         ];
-        let vp = Self::initial_vp(&renamer, cfg);
+        let vp = Self::initial_vp(&renamer, cfg.vp_phys_per_subset);
         Engine {
             cfg,
             cycle: 0,
@@ -422,7 +423,7 @@ impl<'a> Engine<'a> {
             clusters: (0..cfg.clusters)
                 .map(|i| ClusterState::with_resources(cfg.resources[i.min(3)]))
                 .collect(),
-            rob: Rob::new(cfg.rob_size(), cfg.clusters),
+            rob: Rob::new(cfg.rob, cfg.clusters),
             reg_info,
             fetch_bufs: (0..cfg.threads)
                 .map(|_| VecDeque::with_capacity(4 * cfg.fetch_width))
@@ -430,7 +431,7 @@ impl<'a> Engine<'a> {
             redirects: vec![Redirect::None; cfg.threads],
             store_queues: vec![StoreQueue::new(); cfg.threads],
             mem_order: (0..cfg.threads)
-                .map(|_| VecDeque::with_capacity(cfg.rob_size()))
+                .map(|_| VecDeque::with_capacity(cfg.rob))
                 .collect(),
             seq_next: 0,
             thread_retired: vec![0; cfg.threads],
@@ -452,10 +453,10 @@ impl<'a> Engine<'a> {
             last_progress: (0, 0),
             fetch_buf_cap: 4 * cfg.fetch_width,
             occ_buf: Vec::with_capacity(cfg.clusters),
-            free_buf: Vec::with_capacity(cfg.renamer.subsets),
+            free_buf: Vec::with_capacity(subsets),
             dest_updates: Vec::new(),
             due_buf: Vec::new(),
-            vp_reserved: [vec![0; cfg.renamer.subsets], vec![0; cfg.renamer.subsets]],
+            vp_reserved: [vec![0; subsets], vec![0; subsets]],
             victims_buf: Vec::new(),
             retired: 0,
             branches: 0,
@@ -506,12 +507,12 @@ impl<'a> Engine<'a> {
             self.cycle, 0,
             "warm subsets must be installed before stepping"
         );
-        self.renamer = Renamer::with_arch_subsets(self.cfg.renamer, int, fp);
+        self.renamer = Renamer::with_arch_subsets(*self.renamer.config(), int, fp);
         self.reg_info = [
-            Self::initial_regs(&self.renamer, RegClass::Int, self.cfg),
-            Self::initial_regs(&self.renamer, RegClass::Fp, self.cfg),
+            Self::initial_regs(&self.renamer, RegClass::Int, self.cfg.clusters),
+            Self::initial_regs(&self.renamer, RegClass::Fp, self.cfg.clusters),
         ];
-        self.vp = Self::initial_vp(&self.renamer, self.cfg);
+        self.vp = Self::initial_vp(&self.renamer, self.cfg.vp_phys_per_subset);
     }
 
     /// Repositions the allocation policy's RNG mid-stream (the sampled
@@ -523,10 +524,10 @@ impl<'a> Engine<'a> {
         self.allocator.set_rng_state(state);
     }
 
-    fn initial_regs(renamer: &Renamer, class: RegClass, cfg: &SimConfig) -> Vec<RegInfo> {
+    fn initial_regs(renamer: &Renamer, class: RegClass, clusters: usize) -> Vec<RegInfo> {
         let total = match class {
-            RegClass::Int => cfg.renamer.int_regs,
-            RegClass::Fp => cfg.renamer.fp_regs,
+            RegClass::Int => renamer.config().int_regs,
+            RegClass::Fp => renamer.config().fp_regs,
         };
         let mut v = vec![
             RegInfo {
@@ -539,20 +540,20 @@ impl<'a> Engine<'a> {
         ];
         // Architectural reset values live in their subset's "home" cluster.
         for (_, m) in renamer.map_table(class).iter() {
-            v[m.phys.0 as usize].cluster = m.subset.0 % cfg.clusters as u8;
+            v[m.phys.0 as usize].cluster = m.subset.0 % clusters as u8;
         }
         v
     }
 
     /// Virtual-physical state (`None` without VP): every subset starts
     /// occupied by the architectural registers `renamer` maps into it.
-    fn initial_vp(renamer: &Renamer, cfg: &SimConfig) -> Option<VpState> {
+    fn initial_vp(renamer: &Renamer, vp_phys_per_subset: Option<usize>) -> Option<VpState> {
         let count_arch = |class: RegClass| {
-            (0..cfg.renamer.subsets)
+            (0..renamer.config().subsets)
                 .map(|s| renamer.map_table(class).mapped_into(Subset(s as u8)))
                 .collect()
         };
-        cfg.vp_phys_per_subset.map(|capacity| VpState {
+        vp_phys_per_subset.map(|capacity| VpState {
             capacity,
             used: [count_arch(RegClass::Int), count_arch(RegClass::Fp)],
         })
@@ -673,7 +674,7 @@ impl<'a> Engine<'a> {
             // a different thread next cycle) outside the Recycling
             // strategy's per-cycle staging churn.
             DispatchBlock::Window => {
-                if self.cfg.threads != 1 || self.cfg.renamer.strategy == RenameStrategy::Recycling {
+                if self.cfg.threads != 1 || self.cfg.strategy == RenameStrategy::Recycling {
                     return None;
                 }
             }
@@ -1043,7 +1044,7 @@ impl<'a> Engine<'a> {
                 if front.fetch_cycle > self.cycle {
                     continue 'threads;
                 }
-                if self.rob.len() >= self.cfg.rob_size() {
+                if self.rob.len() >= self.cfg.rob {
                     self.stalls.window += 1;
                     self.dispatch_block = DispatchBlock::Window;
                     break 'threads;
@@ -1077,7 +1078,7 @@ impl<'a> Engine<'a> {
                                     && self.cfg.mode == RegFileMode::Wsrs =>
                             {
                                 self.free_buf.clear();
-                                for s in 0..self.cfg.renamer.subsets {
+                                for s in 0..self.renamer.config().subsets {
                                     self.free_buf.push(
                                         self.renamer.allocatable_now(dreg.class(), Subset(s as u8)),
                                     );
@@ -1261,7 +1262,7 @@ impl<'a> Engine<'a> {
             return;
         };
         debug_assert!(self.rob.is_empty(), "recovery requires a drained window");
-        let subsets = self.cfg.renamer.subsets;
+        let subsets = self.renamer.config().subsets;
         // Move logical registers (of any hardware thread) out of the stuck
         // subset until a dispatch group's worth of headroom exists.
         let mut victims = std::mem::take(&mut self.victims_buf);
@@ -1349,7 +1350,7 @@ impl<'a> Engine<'a> {
             return true;
         }
         let (class, phys) = (dst.class(), dst.phys() as u32);
-        let subset = self.cfg.renamer.phys_subset_of(class, phys);
+        let subset = self.renamer.config().phys_subset_of(class, phys);
         let ci = dst.class_index();
         let held = reserved.map_or(0, |r| r[ci][subset.index()]);
         vp.used[ci][subset.index()] + held < vp.capacity
@@ -1557,8 +1558,8 @@ impl<'a> Engine<'a> {
             return;
         }
         let subset = self
-            .cfg
             .renamer
+            .config()
             .phys_subset_of(dst.class(), dst.phys() as u32);
         self.vp_reserved[dst.class_index()][subset.index()] += 1;
     }
@@ -1602,8 +1603,8 @@ impl<'a> Engine<'a> {
             if dst.is_some() {
                 if let Some(vp) = self.vp.as_mut() {
                     let subset = self
-                        .cfg
                         .renamer
+                        .config()
                         .phys_subset_of(dst.class(), dst.phys() as u32);
                     vp.used[dst.class_index()][subset.index()] += 1;
                 }
@@ -1650,7 +1651,7 @@ impl<'a> Engine<'a> {
         if self.vp_blocked.1 < VP_BLOCK_THRESHOLD {
             return;
         }
-        let stuck = self.cfg.renamer.phys_subset_of(class, phys);
+        let stuck = self.renamer.config().phys_subset_of(class, phys);
         self.vp_recover(class, stuck);
         self.vp_blocked = (u64::MAX, 0);
     }
@@ -1689,7 +1690,7 @@ impl<'a> Engine<'a> {
             }
         }
         let done_at = self.cycle + self.cfg.min_mispredict_penalty;
-        let subsets = self.cfg.renamer.subsets;
+        let subsets = self.renamer.config().subsets;
         let mut moved = 0;
         for &(tid, logical) in &victims {
             if moved >= self.cfg.fetch_width {
@@ -2111,8 +2112,8 @@ mod tests {
             AllocPolicy::RandomCommutative,
             RenameStrategy::ExactCount,
         ));
-        cfg.renamer.int_regs = 84;
-        cfg.renamer.fp_regs = 132;
+        cfg.int_regs = 84;
+        cfg.fp_regs = 132;
         let mut a = Assembler::new();
         // Write many distinct logical registers so mappings migrate.
         let (i, n) = (Reg::new(70), Reg::new(71));
@@ -2198,13 +2199,15 @@ mod tests {
         assert_eq!(r.uops, 2 + 300 * 39);
     }
 
+    /// A 2-thread WSRS machine, configured by plain field assignment: the
+    /// renamer's map-table count follows `threads`.
     fn smt_cfg(int_regs: usize) -> SimConfig {
         let mut cfg = perfect(SimConfig::wsrs(
             int_regs,
             AllocPolicy::RandomCommutative,
             RenameStrategy::ExactCount,
         ));
-        cfg.set_threads(2);
+        cfg.threads = 2;
         cfg.deadlock_recovery = true;
         cfg
     }
@@ -2230,7 +2233,7 @@ mod tests {
         // rule, so the recovery exception must be available.
         let cfg = smt_cfg(512);
         assert!(!cfg
-            .renamer
+            .renamer()
             .statically_deadlock_free(wsrs_isa::RegClass::Int));
         let t0 = int_loop(500, 1..6);
         let t1 = int_loop(400, 10..20);
@@ -2511,8 +2514,8 @@ mod tests {
                 AllocPolicy::RandomCommutative,
                 RenameStrategy::ExactCount,
             ));
-            cfg.renamer.int_regs = 84;
-            cfg.renamer.fp_regs = 132;
+            cfg.int_regs = 84;
+            cfg.fp_regs = 132;
             cfg.avoid_exhaustion = avoid;
             cfg
         };
@@ -2536,8 +2539,8 @@ mod tests {
                 AllocPolicy::RandomCommutative,
                 RenameStrategy::ExactCount,
             ));
-            cfg.renamer.int_regs = 84; // 21/subset for 80 logicals: 1 spare
-            cfg.renamer.fp_regs = 132;
+            cfg.int_regs = 84; // 21/subset for 80 logicals: 1 spare
+            cfg.fp_regs = 132;
             cfg.deadlock_recovery = recovery;
             cfg
         };

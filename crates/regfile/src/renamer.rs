@@ -23,11 +23,13 @@ use crate::map::MapTable;
 use crate::types::{Mapping, PhysReg, RenameStrategy, Subset};
 use wsrs_isa::{RegClass, RegRef};
 
-/// Default depth of the strategy-1 free-register recycling pipeline
-/// (build the two lists → pack → merge → append, §2.2.1).
-pub const DEFAULT_RECYCLE_DELAY: u64 = 4;
+/// Depth of the strategy-1 free-register recycling pipeline (build the
+/// two lists → pack → merge → append, §2.2.1).
+pub const RECYCLE_DELAY: u64 = 4;
 
-/// Renamer configuration.
+/// Renamer configuration: the register-file geometry and the renaming
+/// implementation. A timing-simulator configuration derives it from its
+/// organization (`wsrs_core::SimConfig::renamer`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RenamerConfig {
     /// Number of register-file subsets (1 = conventional).
@@ -38,11 +40,6 @@ pub struct RenamerConfig {
     pub fp_regs: usize,
     /// Which §2.2 renaming implementation to model.
     pub strategy: RenameStrategy,
-    /// Recycling pipeline depth in cycles (strategy 1 only).
-    pub recycle_delay: u64,
-    /// Instructions renamed in parallel (`N` in §2.2) — the speculative
-    /// per-list pick width of strategy 1.
-    pub rename_width: usize,
     /// Hardware threads sharing the physical file (SMT, §2.3). Each thread
     /// has its own architectural map; free lists are shared.
     pub threads: usize,
@@ -57,8 +54,6 @@ impl RenamerConfig {
             int_regs,
             fp_regs,
             strategy: RenameStrategy::ExactCount,
-            recycle_delay: 0,
-            rename_width: 8,
             threads: 1,
         }
     }
@@ -71,12 +66,18 @@ impl RenamerConfig {
             int_regs,
             fp_regs,
             strategy,
-            recycle_delay: match strategy {
-                RenameStrategy::Recycling => DEFAULT_RECYCLE_DELAY,
-                RenameStrategy::ExactCount => 0,
-            },
-            rename_width: 8,
             threads: 1,
+        }
+    }
+
+    /// Cycles a freed register spends in the recycling pipeline before it
+    /// can be picked again: [`RECYCLE_DELAY`] under strategy 1, none under
+    /// strategy 2 (direct append).
+    #[must_use]
+    pub fn recycle_delay(&self) -> u64 {
+        match self.strategy {
+            RenameStrategy::Recycling => RECYCLE_DELAY,
+            RenameStrategy::ExactCount => 0,
         }
     }
 
@@ -204,7 +205,7 @@ impl Renamer {
                     );
                     FreeList::new(
                         (reserved..per).map(|slot| PhysReg((s * per + slot) as u32)),
-                        config.recycle_delay,
+                        config.recycle_delay(),
                     )
                 })
                 .collect();
@@ -274,7 +275,7 @@ impl Renamer {
                 .map(|s| {
                     FreeList::new(
                         (next_slot[s]..per).map(|slot| PhysReg((s * per + slot) as u32)),
-                        config.recycle_delay,
+                        config.recycle_delay(),
                     )
                 })
                 .collect();
@@ -550,8 +551,8 @@ mod tests {
         assert!(r.stats().recycled_unused >= 31);
         // They mature after the recycle delay.
         let before = r.available(RegClass::Int, Subset(0));
-        r.begin_cycle(DEFAULT_RECYCLE_DELAY, 0);
-        r.end_cycle(DEFAULT_RECYCLE_DELAY);
+        r.begin_cycle(RECYCLE_DELAY, 0);
+        r.end_cycle(RECYCLE_DELAY);
         assert_eq!(r.available(RegClass::Int, Subset(0)), before + 7);
     }
 

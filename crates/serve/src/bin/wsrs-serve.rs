@@ -82,10 +82,14 @@ fn main() {
         match arg.as_str() {
             "--addr" => addr = value("--addr"),
             "--workers" => {
-                opts.workers = value("--workers").parse().unwrap_or_else(|_| {
-                    eprintln!("--workers needs a number");
-                    std::process::exit(2);
-                });
+                let v = value("--workers");
+                opts.workers = match v.trim().parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => {
+                        eprintln!("error: --workers {v:?}: expected a positive integer");
+                        std::process::exit(2);
+                    }
+                };
             }
             "--memo-dir" => opts.memo_dir = value("--memo-dir").into(),
             "--trace-dir" => opts.trace_dir = value("--trace-dir").into(),
@@ -112,7 +116,6 @@ fn main() {
         opts.memo_dir.display(),
         opts.trace_dir.display()
     );
-    let workers = opts.workers;
-    server.run(workers);
+    server.run();
     eprintln!("wsrs-serve: graceful shutdown complete");
 }

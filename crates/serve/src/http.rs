@@ -15,6 +15,10 @@ use std::time::{Duration, Instant};
 /// few KiB; anything larger is malformed or hostile).
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// Upper bound on a request head: the request line plus every header
+/// line, through the blank line that ends them.
+pub const MAX_HEAD_BYTES: usize = 64 << 10;
+
 /// One parsed request.
 #[derive(Debug)]
 pub struct Request {
@@ -36,15 +40,19 @@ impl Request {
 
 /// Reads and parses one request off `stream`, which must arrive whole
 /// (head and body) `within` the given time. `None` on a connection closed
-/// before a full request line, malformed framing, an oversized body, or a
-/// request still incomplete at the deadline.
+/// before a full request line, malformed framing, a head over
+/// [`MAX_HEAD_BYTES`], an oversized body, or a request still incomplete at
+/// the deadline.
 pub fn read_request(stream: &TcpStream, within: Duration) -> Option<Request> {
-    let mut reader = BufReader::new(Deadline {
+    let deadline = Deadline {
         stream,
         until: Instant::now() + within,
-    });
+    };
+    // The head is read through the cap: a line cut off by it ends
+    // without a newline and fails the request.
+    let mut reader = BufReader::new(deadline.take(MAX_HEAD_BYTES as u64));
     let mut line = String::new();
-    if reader.read_line(&mut line).ok()? == 0 {
+    if reader.read_line(&mut line).ok()? == 0 || !line.ends_with('\n') {
         return None;
     }
     let mut parts = line.split_whitespace();
@@ -54,7 +62,7 @@ pub fn read_request(stream: &TcpStream, within: Duration) -> Option<Request> {
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header).ok()? == 0 {
+        if reader.read_line(&mut header).ok()? == 0 || !header.ends_with('\n') {
             return None;
         }
         let header = header.trim_end();
@@ -70,6 +78,7 @@ pub fn read_request(stream: &TcpStream, within: Duration) -> Option<Request> {
     if content_length > MAX_BODY_BYTES {
         return None;
     }
+    reader.get_mut().set_limit(content_length as u64);
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).ok()?;
     Some(Request { method, path, body })

@@ -88,7 +88,7 @@ pub fn install_signal_handlers() {
 /// Server construction knobs.
 #[derive(Clone, Debug)]
 pub struct ServerOptions {
-    /// Worker threads simulating claimed units.
+    /// Worker threads simulating claimed units (at least 1).
     pub workers: usize,
     /// Start with the worker pool paused (units queue up but are not
     /// claimed until `POST /v1/control/resume`) — deterministic windows
@@ -436,6 +436,7 @@ impl ServerState {
 /// — spawn a thread to run it in-process).
 pub struct Server {
     listener: TcpListener,
+    workers: usize,
     state: Arc<ServerState>,
 }
 
@@ -445,8 +446,14 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors.
+    /// Propagates socket errors; `InvalidInput` when `opts.workers` is 0.
     pub fn bind(addr: impl ToSocketAddrs, opts: &ServerOptions) -> std::io::Result<Server> {
+        if opts.workers == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "the server needs at least one worker",
+            ));
+        }
         // Register the standard generated-scenario family up front so
         // cell submissions may name its `gen:<profile-hash>:<seed>`
         // workloads directly, not only via the `workgen` experiment.
@@ -456,6 +463,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         Ok(Server {
             listener,
+            workers: opts.workers,
             state: Arc::new(ServerState {
                 registry: config_registry(),
                 memo: MemoStore::at(&opts.memo_dir),
@@ -496,18 +504,19 @@ impl Server {
 
     /// Serves until a shutdown is requested (SIGTERM/SIGINT via
     /// [`install_signal_handlers`], [`Server::shutdown_handle`], or
-    /// `POST /v1/control/shutdown`), with `workers` simulation threads.
-    /// Returns after the workers have finished their claimed units.
+    /// `POST /v1/control/shutdown`), with [`ServerOptions::workers`]
+    /// simulation threads. Returns after the workers have finished their
+    /// claimed units.
     ///
     /// The accept loop blocks, so a connection is served the moment it
     /// arrives. A waker thread polls for a stop request and, once one is
     /// made, connects to the listener itself to unblock `accept`.
-    pub fn run(self, workers: usize) {
+    pub fn run(self) {
         let wake_addr = waker_target(self.addr());
         let state = self.state;
         let accepting = AtomicBool::new(true);
         std::thread::scope(|s| {
-            for _ in 0..workers.max(1) {
+            for _ in 0..self.workers {
                 let state = state.clone();
                 s.spawn(move || state.worker());
             }

@@ -40,8 +40,8 @@ fn tiny_config(recovery: bool) -> SimConfig {
     );
     // 84 integer registers over four subsets: 21 per subset for 80
     // architectural registers — one spare each, far below the §2.3 rule.
-    cfg.renamer.int_regs = 84;
-    cfg.renamer.fp_regs = 132;
+    cfg.int_regs = 84;
+    cfg.fp_regs = 132;
     cfg.deadlock_recovery = recovery;
     cfg
 }
@@ -50,8 +50,8 @@ fn main() {
     let rule = tiny_config(false);
     println!(
         "static §2.3 rule satisfied? int: {}   (per-subset {} vs 80 logical)",
-        rule.renamer.statically_deadlock_free(RegClass::Int),
-        rule.renamer.per_subset(RegClass::Int)
+        rule.renamer().statically_deadlock_free(RegClass::Int),
+        rule.renamer().per_subset(RegClass::Int)
     );
 
     let (prog, expected) = migrating_kernel();

@@ -164,7 +164,7 @@ fn per_cluster_counts_sum_to_measured_uops() {
         let r = run(Workload::Gcc, cfg);
         let total: u64 = r.per_cluster.iter().sum();
         assert!(
-            total.abs_diff(r.uops) <= cfg.rob_size() as u64,
+            total.abs_diff(r.uops) <= cfg.rob as u64,
             "{total} vs {}",
             r.uops
         );

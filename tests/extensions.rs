@@ -92,7 +92,7 @@ fn smt_pairs_real_workloads() {
         AllocPolicy::RandomCommutative,
         RenameStrategy::ExactCount,
     );
-    cfg.set_threads(2);
+    cfg.threads = 2;
     cfg.deadlock_recovery = true;
     let per_thread = 120_000;
     let r = Simulator::new(cfg).run_smt(vec![

@@ -27,13 +27,13 @@ fn presets() -> Vec<SimConfig> {
 }
 
 /// Applies mutation `m` (0 = identity) to `cfg`. Each non-identity arm
-/// touches a different timing-relevant field.
+/// touches a different field.
 fn mutate(mut cfg: SimConfig, m: usize) -> SimConfig {
-    match m % 12 {
+    match m % 13 {
         0 => {}
         1 => cfg.seed ^= 0x1234,
         2 => cfg.min_mispredict_penalty += 1,
-        3 => cfg.renamer.int_regs += 32,
+        3 => cfg.int_regs += 32,
         4 => cfg.telemetry = !cfg.telemetry,
         5 => cfg.predictor = PredictorKind::Gshare64K,
         6 => cfg.fast_forward = FastForward::Complete,
@@ -46,6 +46,7 @@ fn mutate(mut cfg: SimConfig, m: usize) -> SimConfig {
                 slow_read_penalty: 2,
             });
         }
+        11 => cfg.strategy = RenameStrategy::Recycling,
         _ => cfg.deadlock_recovery = !cfg.deadlock_recovery,
     }
     cfg
@@ -57,9 +58,9 @@ proptest! {
     #[test]
     fn configs_equal_iff_content_hashes_match(
         base_a in 0usize..6,
-        mut_a in 0usize..12,
+        mut_a in 0usize..13,
         base_b in 0usize..6,
-        mut_b in 0usize..12,
+        mut_b in 0usize..13,
     ) {
         let a = mutate(presets()[base_a], mut_a);
         let b = mutate(presets()[base_b], mut_b);
@@ -73,7 +74,7 @@ proptest! {
     }
 
     #[test]
-    fn content_hash_is_a_pure_function(base in 0usize..6, m in 0usize..12) {
+    fn content_hash_is_a_pure_function(base in 0usize..6, m in 0usize..13) {
         let cfg = mutate(presets()[base], m);
         prop_assert_eq!(cfg.content_hash(), mutate(presets()[base], m).content_hash());
     }
