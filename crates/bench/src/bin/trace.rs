@@ -21,7 +21,7 @@
 //! hashes (the value CI keys its trace cache on).
 
 use std::process::ExitCode;
-use wsrs_bench::{RunEnv, RunParams};
+use wsrs_bench::{trace_key, RunEnv, RunParams};
 use wsrs_core::sim_revision;
 use wsrs_trace::{
     CheckpointKey, CheckpointRecord, TraceFile, TraceKey, TraceStore, CHECKPOINT_EXT,
@@ -51,16 +51,6 @@ fn usage() -> ExitCode {
 /// `main`, so its traces are first-class here).
 fn workload_by_name(name: &str) -> Option<Workload> {
     name.parse().ok()
-}
-
-/// The key the grid harness would use for `w` at window `p` right now.
-fn current_key(w: Workload, p: RunParams) -> TraceKey {
-    TraceKey {
-        workload: w.name().to_string(),
-        warmup: p.warmup,
-        measure: p.measure,
-        rev: w.trace_fingerprint(),
-    }
 }
 
 /// Is `key` recordable by the current emulator? (Same workload name and
@@ -102,7 +92,7 @@ fn record(env: &RunEnv, args: &[String]) -> ExitCode {
     }
     let bound = (params.warmup + params.measure) as usize;
     for w in workloads {
-        let key = current_key(w, params);
+        let key = trace_key(w, params);
         if store.load(&key).is_ok() {
             println!("{:<42} up to date", key.file_name());
             continue;
@@ -175,7 +165,7 @@ fn inspect(env: &RunEnv, target: Option<&String>) -> ExitCode {
     } else if let Some(w) = workload_by_name(target) {
         // Exact current-window file if present, else any recorded window
         // of this workload.
-        let exact = env.store.path_for(&current_key(w, env.params));
+        let exact = env.store.path_for(&trace_key(w, env.params));
         if exact.is_file() {
             exact
         } else {

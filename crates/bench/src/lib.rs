@@ -46,6 +46,18 @@ use wsrs_telemetry::{Json, SampledCell, TraceCacheStats};
 use wsrs_trace::{CheckpointKey, CheckpointRecord, TraceError, TraceFile, TraceKey, TraceStore};
 use wsrs_workloads::Workload;
 
+/// The trace-store key of `w`'s trace over the window `params`, as the
+/// current emulator records it (its revision is `w`'s trace fingerprint).
+#[must_use]
+pub fn trace_key(w: Workload, params: RunParams) -> TraceKey {
+    TraceKey {
+        workload: w.name().to_string(),
+        warmup: params.warmup,
+        measure: params.measure,
+        rev: w.trace_fingerprint(),
+    }
+}
+
 /// Measurement window for simulation experiments.
 #[derive(Clone, Copy, Debug)]
 pub struct RunParams {
@@ -574,7 +586,8 @@ impl TraceCache {
     }
 
     /// The trace-file content checksum of `w`, once some cell has
-    /// acquired it this run — the `trace` component of checkpoint keys.
+    /// acquired it this run — the `trace` component of checkpoint keys
+    /// and of `wsrs-serve` cell lines.
     ///
     /// # Panics
     ///
@@ -592,16 +605,6 @@ impl TraceCache {
     /// µops per cached trace: the measurement window, warm-up included.
     fn bound(&self) -> usize {
         (self.params.warmup + self.params.measure) as usize
-    }
-
-    /// The store key of `w` under this cache's window.
-    fn store_key(&self, w: Workload) -> TraceKey {
-        TraceKey {
-            workload: w.name().to_string(),
-            warmup: self.params.warmup,
-            measure: self.params.measure,
-            rev: w.trace_fingerprint(),
-        }
     }
 
     /// Runs the functional emulator for `w`, bounded to the window.
@@ -630,7 +633,7 @@ impl TraceCache {
             return (trace, source);
         };
         if replay {
-            match store.load(&self.store_key(w)) {
+            match store.load(&trace_key(w, self.params)) {
                 Ok(loaded) => {
                     let source = self.replayed(w, loaded.checksum, loaded.bytes);
                     return (loaded.uops.into(), source);
@@ -659,7 +662,7 @@ impl TraceCache {
     fn record(&self, w: Workload, store: &TraceStore) -> (Arc<[DynInst]>, TraceSource) {
         self.counters.lock().unwrap().misses += 1;
         let trace = self.emulate(w);
-        let (checksum, bytes) = match store.save(&self.store_key(w), &trace) {
+        let (checksum, bytes) = match store.save(&trace_key(w, self.params), &trace) {
             Ok(saved) => {
                 self.counters.lock().unwrap().bytes_written += saved.bytes;
                 (Some(saved.checksum), saved.bytes)
@@ -780,7 +783,7 @@ impl TraceCache {
         if held {
             return TraceView::Decoded(self.checkout(w));
         }
-        match store.open(&self.store_key(w)) {
+        match store.open(&trace_key(w, self.params)) {
             Ok(file) => {
                 self.note_source(self.replayed(w, file.checksum(), file.size_bytes()));
                 self.entries

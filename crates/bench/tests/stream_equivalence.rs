@@ -19,9 +19,9 @@ use std::path::PathBuf;
 
 use wsrs_bench::manifest::telemetry_on;
 use wsrs_bench::windows::gate_params;
-use wsrs_bench::{figure4_configs, RunEnv, RunParams, TraceCache, TraceSampleStore};
+use wsrs_bench::{figure4_configs, trace_key, RunEnv, RunParams, TraceCache, TraceSampleStore};
 use wsrs_core::{run_sampled, SampleSpec, SimConfig, Simulator};
-use wsrs_trace::{TraceFile, TraceHeader, TraceKey, TraceStore};
+use wsrs_trace::{TraceFile, TraceHeader, TraceStore};
 use wsrs_workloads::Workload;
 
 /// The gate's most demanding column: WSRS placement also drives the
@@ -121,12 +121,7 @@ fn streamed_replay_matches_decoded_on_every_gate_workload() {
         // Records the trace on a miss; the test then opens the file.
         drop(cache.checkout(w));
         cache.release(w);
-        let key = TraceKey {
-            workload: w.name().to_string(),
-            warmup: params.warmup,
-            measure: params.measure,
-            rev: w.trace_fingerprint(),
-        };
+        let key = trace_key(w, params);
         let file = store.open(&key).expect("recorded trace opens");
         assert_stream_matches_decoded(w, &file, &cfg, params, &SampleSpec::default());
     }

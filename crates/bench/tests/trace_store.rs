@@ -9,12 +9,12 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use wsrs_bench::manifest::{grid_manifest, telemetry_on};
 use wsrs_bench::{
-    run_grid_full, CellJob, CellQueue, CellResult, GridRun, RunParams, TraceCache, TraceOrigin,
-    TraceProvenance, TraceSampleStore,
+    run_grid_full, trace_key, CellJob, CellQueue, CellResult, GridRun, RunParams, TraceCache,
+    TraceOrigin, TraceProvenance, TraceSampleStore,
 };
 use wsrs_core::{SampleSpec, SampleStore, SimConfig};
 use wsrs_isa::fnv1a_64;
-use wsrs_trace::{TraceFile, TraceHeader, TraceKey, TraceStore};
+use wsrs_trace::{TraceFile, TraceHeader, TraceStore};
 use wsrs_workloads::Workload;
 
 const PARAMS: RunParams = RunParams {
@@ -183,12 +183,7 @@ fn undecodable_block_mid_stream_is_rerun_on_a_fresh_trace() {
     // Record the trace with small blocks, then break block 3 under a
     // re-sealed checksum: the file opens, and the stream fails mid-way.
     let uops: Vec<_> = w.trace().take(6_000).collect();
-    let key = TraceKey {
-        workload: w.name().to_string(),
-        warmup: PARAMS.warmup,
-        measure: PARAMS.measure,
-        rev: w.trace_fingerprint(),
-    };
+    let key = trace_key(w, PARAMS);
     let header = TraceHeader {
         rev: key.rev,
         warmup: key.warmup,

@@ -505,7 +505,16 @@ mod tests {
     #[test]
     fn geometry_matches_paper() {
         let c = SimConfig::conventional_rr(256);
-        assert_eq!(c.renamer(), RenamerConfig::conventional(256, 128));
+        assert_eq!(
+            c.renamer(),
+            RenamerConfig {
+                subsets: 1,
+                int_regs: 256,
+                fp_regs: 128,
+                strategy: RenameStrategy::ExactCount,
+                threads: 1,
+            }
+        );
         c.validate();
         SimConfig::wsrs(384, AllocPolicy::RandomMonadic, RenameStrategy::ExactCount).validate();
     }
@@ -524,7 +533,13 @@ mod tests {
         let mut wsrs = SimConfig::wsrs(512, AllocPolicy::RandomCommutative, strategy);
         assert_eq!(
             wsrs.renamer(),
-            RenamerConfig::write_specialized(512, 256, strategy)
+            RenamerConfig {
+                subsets: 4,
+                int_regs: 512,
+                fp_regs: 256,
+                strategy,
+                threads: 1,
+            }
         );
         assert_eq!(
             wsrs.renamer().recycle_delay(),

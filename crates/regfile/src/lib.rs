@@ -25,7 +25,14 @@
 //! use wsrs_regfile::{RenamerConfig, Renamer, RenameStrategy, Subset};
 //! use wsrs_isa::{Reg, RegRef};
 //!
-//! let mut r = Renamer::new(RenamerConfig::write_specialized(512, 256, RenameStrategy::ExactCount));
+//! // Four write subsets of 128 integer and 64 FP registers each.
+//! let mut r = Renamer::new(RenamerConfig {
+//!     subsets: 4,
+//!     int_regs: 512,
+//!     fp_regs: 256,
+//!     strategy: RenameStrategy::ExactCount,
+//!     threads: 1,
+//! });
 //! let dst = RegRef::int(Reg::new(5));
 //! r.begin_cycle(0, 8);
 //! let m = r.alloc(dst.class(), Subset(2)).expect("subset 2 has free registers");

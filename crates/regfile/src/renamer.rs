@@ -46,30 +46,6 @@ pub struct RenamerConfig {
 }
 
 impl RenamerConfig {
-    /// A conventional renamer: single subset, direct free lists.
-    #[must_use]
-    pub fn conventional(int_regs: usize, fp_regs: usize) -> Self {
-        RenamerConfig {
-            subsets: 1,
-            int_regs,
-            fp_regs,
-            strategy: RenameStrategy::ExactCount,
-            threads: 1,
-        }
-    }
-
-    /// A write-specialized renamer with four subsets.
-    #[must_use]
-    pub fn write_specialized(int_regs: usize, fp_regs: usize, strategy: RenameStrategy) -> Self {
-        RenamerConfig {
-            subsets: 4,
-            int_regs,
-            fp_regs,
-            strategy,
-            threads: 1,
-        }
-    }
-
     /// Cycles a freed register spends in the recycling pipeline before it
     /// can be picked again: [`RECYCLE_DELAY`] under strategy 1, none under
     /// strategy 2 (direct append).
@@ -463,9 +439,25 @@ mod tests {
         RegRef::int(Reg::new(i))
     }
 
+    /// A one-thread renamer over `subsets` register subsets.
+    fn config(
+        subsets: usize,
+        int_regs: usize,
+        fp_regs: usize,
+        strategy: RenameStrategy,
+    ) -> RenamerConfig {
+        RenamerConfig {
+            subsets,
+            int_regs,
+            fp_regs,
+            strategy,
+            threads: 1,
+        }
+    }
+
     #[test]
     fn conventional_initial_state() {
-        let r = Renamer::new(RenamerConfig::conventional(256, 128));
+        let r = Renamer::new(config(1, 256, 128, RenameStrategy::ExactCount));
         // 80 int logicals reserved, 176 free.
         assert_eq!(r.available(RegClass::Int, Subset(0)), 176);
         assert_eq!(r.available(RegClass::Fp, Subset(0)), 96);
@@ -474,11 +466,7 @@ mod tests {
 
     #[test]
     fn write_specialized_splits_evenly() {
-        let r = Renamer::new(RenamerConfig::write_specialized(
-            512,
-            256,
-            RenameStrategy::ExactCount,
-        ));
+        let r = Renamer::new(config(4, 512, 256, RenameStrategy::ExactCount));
         // 512/4 = 128 per subset; 80 int logicals spread 20 per subset.
         for s in 0..4 {
             assert_eq!(r.available(RegClass::Int, Subset(s)), 108);
@@ -490,19 +478,15 @@ mod tests {
     #[test]
     fn deadlock_condition_matches_paper_rule() {
         // 384/4 = 96 >= 80: safe. 256/4 = 64 < 80: not statically safe.
-        let safe = RenamerConfig::write_specialized(384, 192, RenameStrategy::ExactCount);
+        let safe = config(4, 384, 192, RenameStrategy::ExactCount);
         assert!(safe.statically_deadlock_free(RegClass::Int));
-        let unsafe_cfg = RenamerConfig::write_specialized(256, 128, RenameStrategy::ExactCount);
+        let unsafe_cfg = config(4, 256, 128, RenameStrategy::ExactCount);
         assert!(!unsafe_cfg.statically_deadlock_free(RegClass::Int));
     }
 
     #[test]
     fn rename_then_commit_reclaims() {
-        let mut r = Renamer::new(RenamerConfig::write_specialized(
-            512,
-            256,
-            RenameStrategy::ExactCount,
-        ));
+        let mut r = Renamer::new(config(4, 512, 256, RenameStrategy::ExactCount));
         let before = r.available(RegClass::Int, Subset(1));
         r.begin_cycle(0, 8);
         let m = r.alloc(RegClass::Int, Subset(1)).unwrap();
@@ -521,7 +505,7 @@ mod tests {
     fn dependency_propagation_within_group() {
         // Two µops renamed the same cycle: the second reads the first's
         // freshly installed mapping.
-        let mut r = Renamer::new(RenamerConfig::conventional(256, 128));
+        let mut r = Renamer::new(config(1, 256, 128, RenameStrategy::ExactCount));
         r.begin_cycle(0, 8);
         let m1 = r.alloc(RegClass::Int, Subset(0)).unwrap();
         r.rename_dest_for(0, int(3), m1);
@@ -535,11 +519,7 @@ mod tests {
 
     #[test]
     fn recycling_strategy_stages_and_recycles() {
-        let mut r = Renamer::new(RenamerConfig::write_specialized(
-            512,
-            256,
-            RenameStrategy::Recycling,
-        ));
+        let mut r = Renamer::new(config(4, 512, 256, RenameStrategy::Recycling));
         r.begin_cycle(0, 8);
         // 8 staged per subset per class; use only 1.
         let m = r.alloc(RegClass::Int, Subset(0)).unwrap();
@@ -558,7 +538,7 @@ mod tests {
 
     #[test]
     fn exhausted_subset_refuses() {
-        let mut cfg = RenamerConfig::write_specialized(512, 256, RenameStrategy::ExactCount);
+        let mut cfg = config(4, 512, 256, RenameStrategy::ExactCount);
         cfg.int_regs = 96; // 24 per subset, 20 architectural -> 4 free each
         let mut r = Renamer::new(cfg);
         r.begin_cycle(0, 8);
@@ -578,7 +558,7 @@ mod tests {
 
     #[test]
     fn warm_subsets_honoured_and_free_lists_account_for_them() {
-        let cfg = RenamerConfig::write_specialized(512, 256, RenameStrategy::ExactCount);
+        let cfg = config(4, 512, 256, RenameStrategy::ExactCount);
         let logical = RegClass::logical_count(RegClass::Int);
         // Crowd every int logical into subset 2 (128 per subset holds all).
         let int = vec![Subset(2); logical];
@@ -599,7 +579,7 @@ mod tests {
 
     #[test]
     fn warm_subsets_spill_when_a_subset_overflows() {
-        let mut cfg = RenamerConfig::write_specialized(512, 256, RenameStrategy::ExactCount);
+        let mut cfg = config(4, 512, 256, RenameStrategy::ExactCount);
         cfg.int_regs = 96; // 24 per subset < 80 logicals: crowding must spill
         let logical = RegClass::logical_count(RegClass::Int);
         let int = vec![Subset(1); logical];
@@ -617,11 +597,7 @@ mod tests {
 
     #[test]
     fn force_remap_moves_between_subsets() {
-        let mut r = Renamer::new(RenamerConfig::write_specialized(
-            512,
-            256,
-            RenameStrategy::ExactCount,
-        ));
+        let mut r = Renamer::new(config(4, 512, 256, RenameStrategy::ExactCount));
         let before = r.map_source_for(0, int(7));
         let new = r
             .force_remap_for(0, RegClass::Int, 7, Subset(0), 10)

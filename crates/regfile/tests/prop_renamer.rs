@@ -14,6 +14,18 @@ enum Action {
     Commit,
 }
 
+/// A one-thread write-specialized renamer: four subsets of 128 integer
+/// and 64 FP registers.
+fn four_subsets(strategy: RenameStrategy) -> RenamerConfig {
+    RenamerConfig {
+        subsets: 4,
+        int_regs: 512,
+        fp_regs: 256,
+        strategy,
+        threads: 1,
+    }
+}
+
 fn action_strategy() -> impl Strategy<Value = Action> {
     prop_oneof![
         (0u8..79, 0u8..4).prop_map(|(logical, subset)| Action::Rename { logical, subset }),
@@ -22,7 +34,7 @@ fn action_strategy() -> impl Strategy<Value = Action> {
 }
 
 fn run_actions(strategy: RenameStrategy, actions: &[Action]) -> Result<(), TestCaseError> {
-    let cfg = RenamerConfig::write_specialized(512, 256, strategy);
+    let cfg = four_subsets(strategy);
     let mut r = Renamer::new(cfg);
     let mut cycle = 0u64;
     // Previous mappings awaiting commit, oldest first.
@@ -83,7 +95,7 @@ proptest! {
     /// that logical register.
     #[test]
     fn map_lookup_returns_latest(renames in prop::collection::vec((0u8..79, 0u8..4), 1..100)) {
-        let cfg = RenamerConfig::write_specialized(512, 256, RenameStrategy::ExactCount);
+        let cfg = four_subsets(RenameStrategy::ExactCount);
         let mut r = Renamer::new(cfg);
         let mut latest: std::collections::HashMap<u8, Mapping> = Default::default();
         for (cycle, &(logical, subset)) in renames.iter().enumerate() {

@@ -37,10 +37,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use wsrs_bench::manifest::cell_record;
-use wsrs_bench::{config_registry, CellQueue, CellResult, RunEnv, RunParams, TraceCache};
+use wsrs_bench::{
+    config_registry, trace_key, CellQueue, CellResult, RunEnv, RunParams, TraceCache,
+};
 use wsrs_core::SimConfig;
 use wsrs_telemetry::Json;
-use wsrs_trace::{TraceKey, TraceStore};
+use wsrs_trace::TraceStore;
 use wsrs_workloads::Workload;
 
 use crate::http::{read_request, respond, respond_error, ChunkedWriter, Request};
@@ -254,13 +256,7 @@ impl ServerState {
         if let Some(&c) = self.trace_checksums.lock().unwrap().get(&key) {
             return Some(c);
         }
-        let trace_key = TraceKey {
-            workload: w.name().to_string(),
-            warmup: params.warmup,
-            measure: params.measure,
-            rev: w.trace_fingerprint(),
-        };
-        let checksum = self.store.open(&trace_key).ok()?.checksum();
+        let checksum = self.store.open(&trace_key(w, params)).ok()?.checksum();
         self.trace_checksums.lock().unwrap().insert(key, checksum);
         Some(checksum)
     }
@@ -373,13 +369,7 @@ impl ServerState {
     /// fills its slot and retires its in-flight registration.
     fn finish_cell(self: &Arc<Self>, run: &JobRun, r: CellResult) {
         let cell = &run.queue.cells()[r.cell];
-        let trace_checksum = run
-            .cache
-            .provenance()
-            .sources
-            .iter()
-            .find(|s| s.workload == cell.workload)
-            .and_then(|s| s.checksum);
+        let trace_checksum = run.cache.trace_checksum(cell.workload);
         let record = cell_record(
             cell.workload,
             &cell.config_name,

@@ -508,16 +508,15 @@ impl RunManifest {
                     .push(format!("cell {w}/{c} missing from fresh run"));
                 continue;
             };
-            // Manifests from before content addressing carry no hash:
-            // nothing to compare. Drift is a warning here so a local
-            // `report gate` still shows the IPC comparison; CI's gate step
-            // fails on the "config changed" text, which
-            // `parent_format_cells_parse_and_config_drift_only_warns` pins.
+            // A cell has one configuration fingerprint: a drift means the
+            // committed baseline measured another machine, so its IPC is no
+            // reference. Manifests from before content addressing carry no
+            // hash: nothing to compare.
             let (b, n) = (&base.config_content_hash, &new.config_content_hash);
             if !b.is_empty() && !n.is_empty() && b != n {
-                out.warnings.push(format!(
-                    "{w}/{c}: config changed ({b} -> {n}); IPC deltas reflect \
-                     the new configuration"
+                out.failures.push(format!(
+                    "{w}/{c}: config changed ({b} -> {n}) — the baseline \
+                     records another configuration; refresh it if intentional"
                 ));
             }
             let rel = (new.ipc - base.ipc) / base.ipc.max(f64::MIN_POSITIVE);
@@ -814,7 +813,7 @@ mod tests {
     }
 
     #[test]
-    fn parent_format_cells_parse_and_config_drift_only_warns() {
+    fn parent_format_cells_parse_and_config_drift_fails() {
         // A cell as written before the one-fingerprint format: it carries
         // the retired `Debug`-text `config_hash` next to the content hash.
         let text = r#"{"workload": "gcc", "config": "rr",
@@ -827,24 +826,23 @@ mod tests {
         let parsed = CellRecord::from_json(&Json::parse(text).unwrap()).unwrap();
         assert_eq!(parsed, cell("gcc", "rr", 2.0));
 
-        // A moved fingerprint is a warning, not a failure…
+        // A moved fingerprint fails the gate…
         let base = manifest(vec![parsed]);
         let mut fresh = base.clone();
         fresh.cells[0].config_content_hash = "00000000deadbeef".to_string();
         let out = base.compare(&fresh, &Tolerances::default());
-        assert!(out.passed(), "{out:?}");
-        assert_eq!(out.warnings.len(), 1, "{out:?}");
-        assert!(out.warnings[0].contains("config changed"), "{out:?}");
+        assert!(!out.passed(), "{out:?}");
+        assert_eq!(out.failures.len(), 1, "{out:?}");
+        assert!(out.failures[0].contains("config changed"), "{out:?}");
+        assert!(out.warnings.is_empty(), "{out:?}");
         // …and an empty one (a pre-content-addressing side) is not compared.
         let mut legacy = base.clone();
         legacy.cells[0].config_content_hash = String::new();
-        assert!(base
-            .compare(&legacy, &Tolerances::default())
-            .warnings
-            .is_empty());
-        assert!(legacy
-            .compare(&fresh, &Tolerances::default())
-            .warnings
-            .is_empty());
+        for out in [
+            base.compare(&legacy, &Tolerances::default()),
+            legacy.compare(&fresh, &Tolerances::default()),
+        ] {
+            assert!(out.passed() && out.warnings.is_empty(), "{out:?}");
+        }
     }
 }

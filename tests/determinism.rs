@@ -184,3 +184,105 @@ fn round_robin_is_seed_independent() {
     let b = Simulator::new(cfg).run_measured(Workload::Swim.trace(), 50_000, 50_000);
     assert_eq!(a.cycles, b.cycles, "round-robin uses no randomness");
 }
+
+/// Engine paths the gate grid never runs — SMT with §2.3 deadlock
+/// recovery, the virtual-physical anti-wedge, exhaustion avoidance, the
+/// recycling rename strategy, the register cache and pairwise
+/// fast-forwarding — pinned to exact counts on short fixed windows, so a
+/// restructuring of the engine cannot change them unnoticed. Each row is
+/// `(cycles, uops, deadlock_recoveries, deadlocked, alloc_refusals,
+/// stalls.frontend, stalls.rename, stalls.window)`.
+#[test]
+fn engine_paths_off_the_gate_grid_are_pinned() {
+    use wsrs::core::{FastForward, RegCache, Report};
+
+    type Row = (u64, u64, u64, bool, u64, u64, u64, u64);
+    let row = |r: Report| -> Row {
+        (
+            r.cycles,
+            r.uops,
+            r.deadlock_recoveries,
+            r.deadlocked,
+            r.rename.alloc_refusals,
+            r.stalls.frontend,
+            r.stalls.rename,
+            r.stalls.window,
+        )
+    };
+    let measured = |cfg: SimConfig, w: Workload| {
+        row(Simulator::new(cfg).run_measured(w.trace(), 5_000, 20_000))
+    };
+
+    // Two threads over 176 registers: rename-time recovery fires.
+    let mut smt = SimConfig::wsrs(
+        176,
+        AllocPolicy::RandomCommutative,
+        RenameStrategy::ExactCount,
+    );
+    smt.threads = 2;
+    smt.deadlock_recovery = true;
+    let smt = row(Simulator::new(smt).run_smt(vec![
+        Workload::Gzip.trace().take(20_000),
+        Workload::Vpr.trace().take(20_000),
+    ]));
+
+    // 23 physical registers per subset: the issue-time anti-wedge fires.
+    let mut vp = SimConfig::write_specialized_rr(512, RenameStrategy::ExactCount);
+    vp.set_virtual_physical(23);
+    let vp = measured(vp, Workload::Vpr);
+
+    // 24 registers per subset for 20 logical ones: avoidance alone still
+    // wedges here, so recovery fires too.
+    let mut avoid = SimConfig::wsrs(
+        96,
+        AllocPolicy::RandomCommutative,
+        RenameStrategy::ExactCount,
+    );
+    avoid.avoid_exhaustion = true;
+    avoid.deadlock_recovery = true;
+    let avoid = measured(avoid, Workload::Vpr);
+
+    let recycling = measured(
+        SimConfig::wsrs(
+            384,
+            AllocPolicy::RandomCommutative,
+            RenameStrategy::Recycling,
+        ),
+        Workload::Swim,
+    );
+    let reg_cache = measured(
+        SimConfig::conventional_reg_cache(
+            256,
+            RegCache {
+                retention_cycles: 16,
+                slow_read_penalty: 2,
+            },
+        ),
+        Workload::Gzip,
+    );
+    let mut pair = SimConfig::wsrs(512, AllocPolicy::RandomMonadic, RenameStrategy::ExactCount);
+    pair.fast_forward = FastForward::AdjacentPair;
+    let pair = measured(pair, Workload::Crafty);
+
+    for (name, got) in [("smt", smt), ("vp", vp), ("avoid", avoid)] {
+        assert!(got.2 > 0, "{name}: the recovery path must run");
+    }
+    assert_eq!(smt, (47203, 40000, 596, false, 35814, 32, 35814, 0), "smt");
+    assert_eq!(vp, (27571, 19996, 68, false, 0, 63512, 0, 23965), "vp");
+    assert_eq!(
+        avoid,
+        (17399, 19996, 17, false, 18859, 4672, 18859, 0),
+        "avoid"
+    );
+    assert_eq!(
+        recycling,
+        (6081, 19995, 0, false, 117, 448, 117, 5595),
+        "recycling"
+    );
+    assert_eq!(
+        reg_cache,
+        (24000, 19995, 0, false, 29694, 2264, 29694, 0),
+        "reg_cache"
+    );
+    assert_eq!(pair, (5692, 20000, 0, false, 0, 5768, 0, 4456), "pair");
+}

@@ -5,7 +5,8 @@ use wsrs::complexity::{
     bypass_sources, pipeline_cycles, reg_bit_area_w2, table1, total_area_w2, wakeup_comparators,
     CactiModel, RegFileOrg,
 };
-use wsrs::regfile::{RenameStrategy, RenamerConfig};
+use wsrs::core::{AllocPolicy, SimConfig};
+use wsrs::regfile::RenameStrategy;
 use wsrs_isa::RegClass;
 
 #[test]
@@ -86,14 +87,22 @@ fn section_2_3_sizing_rule() {
     // §2.3/§2.4: per-subset size >= logical registers prevents the rename
     // deadlock; the paper's own 384/512 configurations satisfy it for the
     // 80-register SPARC window file.
+    let renamer = |regs| {
+        SimConfig::wsrs(
+            regs,
+            AllocPolicy::RandomCommutative,
+            RenameStrategy::ExactCount,
+        )
+        .renamer()
+    };
     for regs in [384, 512] {
-        let cfg = RenamerConfig::write_specialized(regs, regs / 2, RenameStrategy::ExactCount);
+        let cfg = renamer(regs);
+        assert_eq!(cfg.subsets, 4);
         assert!(cfg.statically_deadlock_free(RegClass::Int), "{regs}");
         assert!(cfg.statically_deadlock_free(RegClass::Fp), "{regs}");
     }
     // 256 integer registers over four subsets (64 each) would not be.
-    let small = RenamerConfig::write_specialized(256, 256, RenameStrategy::ExactCount);
-    assert!(!small.statically_deadlock_free(RegClass::Int));
+    assert!(!renamer(256).statically_deadlock_free(RegClass::Int));
 }
 
 #[test]
