@@ -9,7 +9,7 @@
 //! cargo run --release -p wsrs-bench --bin pipeview -- gzip 48 --json
 //! ```
 
-use wsrs_core::{pipeview, AllocPolicy, SimConfig, Simulator};
+use wsrs_core::{pipeview, AllocPolicy, Outcome, RunSpec, SimConfig, Simulator};
 use wsrs_regfile::RenameStrategy;
 use wsrs_telemetry::Json;
 
@@ -40,7 +40,12 @@ fn main() {
             ),
         ),
     ] {
-        let (report, timeline) = Simulator::new(cfg).run_timeline(w.trace().take(count * 4), count);
+        let spec = RunSpec {
+            timeline: count,
+            ..RunSpec::default()
+        };
+        let Outcome { report, timeline } =
+            Simulator::new(cfg).execute(&spec, [w.trace().take(count * 4)]);
         if json {
             // JSON lines: each record is one µop, tagged with its machine.
             for t in &timeline {

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use wsrs_bench::windows::SMT_PER_THREAD;
 use wsrs_bench::TraceCache;
-use wsrs_core::{AllocPolicy, Report, SimConfig, Simulator};
+use wsrs_core::{AllocPolicy, Report, RunSpec, SimConfig, Simulator};
 use wsrs_regfile::RenameStrategy;
 use wsrs_workloads::Workload;
 
@@ -68,13 +68,19 @@ fn main() {
         let mut single = |w: Workload, t: &[wsrs_isa::DynInst]| {
             singles
                 .entry(w)
-                .or_insert_with(|| Simulator::new(base()).run(t.iter().copied()))
+                .or_insert_with(|| {
+                    Simulator::new(base())
+                        .execute(&RunSpec::default(), [t.iter().copied()])
+                        .report
+                })
                 .clone()
         };
         let ra = single(a, &ta);
         let rb = single(b, &tb);
         let pair = [&ta, &tb].map(|t| t.iter().copied().take(PER_THREAD));
-        let smt = Simulator::new(smt_cfg).run_smt(pair.to_vec());
+        let smt = Simulator::new(smt_cfg)
+            .execute(&RunSpec::default(), pair)
+            .report;
         // Speedup over running the two threads back to back.
         let serial_cycles = ra.cycles + rb.cycles;
         let speedup = serial_cycles as f64 / smt.cycles as f64;

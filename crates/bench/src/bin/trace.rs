@@ -77,20 +77,22 @@ fn record(env: &RunEnv, args: &[String]) -> ExitCode {
         },
     };
     if let (Some(w), Some(m)) = (args.get(1), args.get(2)) {
-        match (w.parse(), m.parse()) {
-            (Ok(w), Ok(m)) => {
-                params = RunParams {
-                    warmup: w,
-                    measure: m,
-                }
-            }
-            _ => {
-                eprintln!("bad window '{w} {m}' (expected two integers)");
+        let parsed = match (w.parse(), m.parse()) {
+            (Ok(warmup), Ok(measure)) => Some(RunParams { warmup, measure }),
+            _ => None,
+        };
+        match parsed.filter(|p| p.window().is_some()) {
+            Some(p) => params = p,
+            None => {
+                eprintln!("bad window '{w} {m}' (expected two integers summing to at most 2^64-1)");
                 return ExitCode::from(2);
             }
         }
     }
-    let bound = (params.warmup + params.measure) as usize;
+    let bound = params
+        .window()
+        .expect("every parse boundary checks that the window length fits in u64")
+        as usize;
     for w in workloads {
         let key = trace_key(w, params);
         if store.load(&key).is_ok() {

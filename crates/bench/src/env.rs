@@ -49,7 +49,8 @@ impl RunEnv {
     /// # Errors
     ///
     /// The first malformed value, naming its variable. A zero window or
-    /// thread count is malformed.
+    /// thread count is malformed, and so is a window whose length does
+    /// not fit in a `u64`.
     pub fn from_vars<K: AsRef<str>, V: AsRef<OsStr>>(vars: &[(K, V)]) -> Result<RunEnv, String> {
         let positive = "a positive integer";
         let window = |var| parse(vars, var, positive, |s| s.parse::<NonZeroU64>().ok());
@@ -59,11 +60,15 @@ impl RunEnv {
             _ => None,
         };
         let d = RunParams::default_scaled();
+        let params = RunParams {
+            warmup: window("WSRS_WARMUP")?.map_or(d.warmup, NonZeroU64::get),
+            measure: window("WSRS_MEASURE")?.map_or(d.measure, NonZeroU64::get),
+        };
+        if params.window().is_none() {
+            return Err("WSRS_WARMUP + WSRS_MEASURE must fit in a u64".to_string());
+        }
         Ok(RunEnv {
-            params: RunParams {
-                warmup: window("WSRS_WARMUP")?.map_or(d.warmup, NonZeroU64::get),
-                measure: window("WSRS_MEASURE")?.map_or(d.measure, NonZeroU64::get),
-            },
+            params,
             threads: parse(vars, "WSRS_THREADS", positive, |s| s.parse().ok())?
                 .or_else(|| std::thread::available_parallelism().ok())
                 .map_or(1, NonZeroUsize::get),
@@ -181,6 +186,16 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn a_window_longer_than_u64_is_malformed() {
+        let max = u64::MAX.to_string();
+        let err = parse(&[("WSRS_WARMUP", max.as_str()), ("WSRS_MEASURE", "1")]).unwrap_err();
+        assert!(err.contains("WSRS_WARMUP + WSRS_MEASURE"), "{err}");
+        let (w, m) = ((u64::MAX - 1).to_string(), "1");
+        let env = parse(&[("WSRS_WARMUP", w.as_str()), ("WSRS_MEASURE", m)]).unwrap();
+        assert_eq!(env.params.window(), Some(u64::MAX));
     }
 
     #[test]

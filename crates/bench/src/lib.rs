@@ -77,6 +77,14 @@ impl RunParams {
             measure: windows::DEFAULT_MEASURE,
         }
     }
+
+    /// µops in the whole window, warm-up included; `None` when that does
+    /// not fit in a `u64`. Every parse boundary (job JSON, `WSRS_*`
+    /// variables, the `trace` CLI) rejects such a window.
+    #[must_use]
+    pub fn window(&self) -> Option<u64> {
+        self.warmup.checked_add(self.measure)
+    }
 }
 
 /// Checkpoint payload section tag carrying encoded predictor state.
@@ -604,7 +612,11 @@ impl TraceCache {
 
     /// µops per cached trace: the measurement window, warm-up included.
     fn bound(&self) -> usize {
-        (self.params.warmup + self.params.measure) as usize
+        let window = self
+            .params
+            .window()
+            .expect("every parse boundary checks that the window length fits in u64");
+        window as usize
     }
 
     /// Runs the functional emulator for `w`, bounded to the window.
@@ -1018,8 +1030,9 @@ impl CellJob {
 /// # Errors
 ///
 /// A message naming the field when it is present but not a non-negative
-/// integer, or when the resulting `measure` is zero (an empty measured
-/// region has nothing to report, and no sampling plan).
+/// integer, when the resulting `measure` is zero (an empty measured
+/// region has nothing to report, and no sampling plan), or when
+/// `warmup + measure` does not fit in a `u64`.
 pub fn window_from_json(v: &Json, defaults: RunParams) -> Result<RunParams, String> {
     let field = |key: &str, default: u64| match v.get(key) {
         None => Ok(default),
@@ -1033,6 +1046,9 @@ pub fn window_from_json(v: &Json, defaults: RunParams) -> Result<RunParams, Stri
     };
     if params.measure == 0 {
         return Err("'measure' must be positive".to_string());
+    }
+    if params.window().is_none() {
+        return Err("'warmup' + 'measure' must fit in a u64".to_string());
     }
     Ok(params)
 }
@@ -1691,6 +1707,10 @@ mod tests {
             (",\"warmup\":-1", "'warmup'"),
             (",\"measure\":1.5", "'measure'"),
             (",\"measure\":0", "'measure'"),
+            (
+                ",\"warmup\":18446744073709551615,\"measure\":1",
+                "'warmup' + 'measure'",
+            ),
             (",\"sample\":7", "'sample'"),
             (
                 ",\"sample\":{\"intervals\":4,\"interval_uops\":500}",

@@ -15,7 +15,7 @@
 
 use wsrs_bench::windows::gate_params;
 use wsrs_bench::{gate_experiments, RunEnv, TraceCache};
-use wsrs_core::Simulator;
+use wsrs_core::{Reference, RunSpec, Simulator};
 
 #[test]
 #[ignore = "simulates every gate cell three times; run in release with --ignored"]
@@ -29,13 +29,17 @@ fn skipping_and_event_issue_match_their_oracles_on_every_gate_cell() {
             for (name, cfg) in &configs {
                 let sim = Simulator::new(*cfg);
                 let skip = sim.run_measured(trace.iter().copied(), params.warmup, params.measure);
-                let exact =
-                    sim.run_measured_no_skip(trace.iter().copied(), params.warmup, params.measure);
-                let scan = sim.run_measured_scan_oracle(
-                    trace.iter().copied(),
-                    params.warmup,
-                    params.measure,
-                );
+                let reference = |reference| {
+                    let spec = RunSpec {
+                        warmup: params.warmup,
+                        reference: Some(reference),
+                        ..RunSpec::default()
+                    };
+                    // The cached trace is already bounded to the window.
+                    sim.execute(&spec, [trace.iter().copied()]).report
+                };
+                let exact = reference(Reference::NoSkip);
+                let scan = reference(Reference::Scan);
                 // A Report's Debug rendering covers every field.
                 let skip = format!("{skip:?}");
                 assert_eq!(

@@ -24,7 +24,7 @@
 
 use crate::config::SimConfig;
 use crate::metrics::Report;
-use crate::sim::{predict_uop, AnnUop, Engine, FetchStream};
+use crate::sim::{predict_uop, AnnUop, Engine, FetchStream, RunSpec};
 use wsrs_frontend::PredictorKind;
 use wsrs_isa::DynInst;
 
@@ -129,18 +129,20 @@ pub fn run_lockstep(
     let take = (warmup + measure).min(trace.len() as u64) as usize;
     let trace = &trace[..take];
     let flags = annotate(configs[0].predictor, trace);
+    let spec = RunSpec {
+        warmup,
+        ..RunSpec::default()
+    };
 
     let mut lanes: Vec<(Engine<'_>, LaneStream<'_>, bool)> = configs
         .iter()
         .map(|cfg| {
-            let mut e = Engine::new(cfg);
-            e.set_warmup(warmup);
             let stream = LaneStream {
                 trace,
                 flags: &flags,
                 pos: 0,
             };
-            (e, stream, true)
+            (Engine::new(cfg, &spec, None), stream, true)
         })
         .collect();
 
@@ -169,7 +171,7 @@ pub fn run_lockstep(
 
     lanes
         .into_iter()
-        .map(|(engine, _, _)| engine.finish(None))
+        .map(|(engine, _, _)| engine.finish().report)
         .collect()
 }
 
@@ -237,8 +239,8 @@ mod tests {
         let trace = trace();
         let cfg = SimConfig::conventional_rr(256);
         let batched = run_lockstep(&[cfg], &trace, 0, trace.len() as u64);
-        let scalar = Simulator::new(cfg).run(trace.iter().copied());
-        assert_eq!(format!("{:?}", batched[0]), format!("{scalar:?}"));
+        let scalar = Simulator::new(cfg).execute(&RunSpec::default(), [trace.iter().copied()]);
+        assert_eq!(format!("{:?}", batched[0]), format!("{:?}", scalar.report));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! # Example
 //!
 //! ```
-//! use wsrs_core::{SimConfig, Simulator};
+//! use wsrs_core::{RunSpec, SimConfig, Simulator};
 //! use wsrs_isa::{Assembler, Emulator, Reg};
 //!
 //! let mut a = Assembler::new();
@@ -36,9 +36,9 @@
 //! a.blt(i, n, top);
 //! a.halt();
 //!
-//! let report = Simulator::new(SimConfig::conventional_rr(256))
-//!     .run(Emulator::new(a.assemble(), 4096));
-//! assert!(report.ipc() > 0.5);
+//! let outcome = Simulator::new(SimConfig::conventional_rr(256))
+//!     .execute(&RunSpec::default(), [Emulator::new(a.assemble(), 4096)]);
+//! assert!(outcome.report.ipc() > 0.5);
 //! ```
 
 pub mod alloc;
@@ -84,4 +84,4 @@ pub use sample::{
     run_sampled, warm_state_key, NoSampleStore, SampleCheckpoint, SampleSpec, SampleStore,
     SampledReport,
 };
-pub use sim::Simulator;
+pub use sim::{Outcome, Reference, RunSpec, Simulator};

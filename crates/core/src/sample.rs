@@ -64,7 +64,7 @@ use wsrs_regfile::Subset;
 use crate::alloc::Allocator;
 use crate::config::{RegFileMode, SimConfig};
 use crate::metrics::Report;
-use crate::sim::{predict_uop, Engine, PredictedIters};
+use crate::sim::{predict_uop, Engine, PredictedIters, RunSpec, WarmStart};
 
 /// The sampling plan: how many intervals, how long, and how much detailed
 /// warmup precedes each. Interval *placement* is a pure function of this
@@ -270,18 +270,9 @@ impl MapWarmer {
         })
     }
 
-    /// The checkpointed policy-RNG position.
-    fn rng_state(&self) -> u64 {
-        self.alloc.rng_state()
-    }
-
-    /// The current assignment of `class`, as subsets.
-    fn subsets_vec(&self, class: RegClass) -> Vec<Subset> {
-        let map = match class {
-            RegClass::Int => &self.int,
-            RegClass::Fp => &self.fp,
-        };
-        map.iter().map(|&b| Subset(b)).collect()
+    /// The current assignment, as subsets (integer, FP).
+    fn subsets(&self) -> [Vec<Subset>; 2] {
+        [&self.int, &self.fp].map(|map| map.iter().map(|&b| Subset(b)).collect())
     }
 }
 
@@ -518,10 +509,10 @@ fn decode_state(
     Some((predictor, hierarchy, map))
 }
 
-/// Runs one interval in detail from a checkpoint's state: a fresh engine
-/// adopts the decoded hierarchy, the decoded predictor feeds the fetch
-/// stream, and the first `warm_uops` retired µops are detailed warmup
-/// excluded from measurement. Measurement *ends* at a retirement target
+/// Runs one interval in detail from a checkpoint's state: the engine is
+/// built on the decoded hierarchy (and, WSRS, the warm subset map and RNG
+/// position), the decoded predictor feeds the fetch stream, and the first
+/// `warm_uops` retired µops are detailed warmup excluded from measurement. Measurement *ends* at a retirement target
 /// while the window is still full — the stream carries cooldown µops past
 /// the measured region precisely so the pipeline never drains inside a
 /// measurement, keeping both interval boundaries symmetric (SMARTS-style;
@@ -536,17 +527,18 @@ fn run_interval(
 ) -> Report {
     let (predictor, hierarchy, map) =
         decode_state(cfg, cp).expect("interval run handed an undecodable checkpoint");
-    let mut engine = Engine::new(cfg);
-    engine.set_hierarchy(hierarchy);
-    if let Some(m) = &map {
-        engine.set_arch_subsets(&m.subsets_vec(RegClass::Int), &m.subsets_vec(RegClass::Fp));
-        engine.set_alloc_rng_state(m.rng_state());
-    }
-    engine.set_warmup(warm_uops);
-    let target = warm_uops + measure_uops;
-    let mut stream = PredictedIters::new(vec![uops], predictor);
-    while engine.retired() < target && engine.step(&mut stream) {}
-    engine.finish(None)
+    let warm = WarmStart {
+        hierarchy,
+        arch_map: map.map(|m| (m.subsets(), m.alloc.rng_state())),
+    };
+    let spec = RunSpec {
+        warmup: warm_uops,
+        ..RunSpec::default()
+    };
+    let stream = PredictedIters::new(vec![uops], predictor);
+    Engine::new(cfg, &spec, Some(warm))
+        .run(stream, warm_uops + measure_uops)
+        .report
 }
 
 /// Sums the summable counters of the interval reports into one aggregate

@@ -10,10 +10,8 @@ impl Engine<'_> {
                 break;
             }
             let slot = self.rob.pop_front();
-            if let Some((entries, _)) = self.timeline.as_mut() {
-                if let Some(e) = entries.get_mut(slot.seq as usize) {
-                    e.commit = self.cycle;
-                }
+            if let Some(e) = self.timeline.get_mut(slot.seq as usize) {
+                e.commit = self.cycle;
             }
             let tid = slot.thread as usize;
             if slot.is_store() {

@@ -185,10 +185,9 @@ impl Engine<'_> {
                 self.clusters[cl].dispatched += 1;
                 self.unbalance.record(cl);
 
-                let recorded = self.timeline.as_mut();
-                if let Some((entries, _)) = recorded.filter(|(_, limit)| (seq as usize) < *limit) {
-                    debug_assert_eq!(entries.len() as u64, seq);
-                    entries.push(UopTiming {
+                if (seq as usize) < self.timeline_limit {
+                    debug_assert_eq!(self.timeline.len() as u64, seq);
+                    self.timeline.push(UopTiming {
                         seq,
                         pc: d.pc,
                         op: d.op,

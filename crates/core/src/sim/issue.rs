@@ -2,7 +2,7 @@
 //! and ready planes) or the O(window) scan it is checked against — and
 //! execution latency, including the register cache's slow reads.
 
-use super::{tagged_addr, Engine, Redirect, IN_FLIGHT};
+use super::{tagged_addr, Engine, Redirect, Reference, IN_FLIGHT};
 use crate::slots::{PackedReg, LINK_NONE};
 use wsrs_isa::latency;
 use wsrs_mem::StoreQueueQuery;
@@ -43,7 +43,7 @@ impl Engine<'_> {
     /// observing every older waiting µop each cycle, which the event
     /// structures deliberately avoid.
     pub(super) fn event_scheduler(&self) -> bool {
-        self.vp.is_none() && !self.force_scan
+        self.vp.is_none() && self.reference != Some(Reference::Scan)
     }
 
     pub(super) fn issue(&mut self) {
@@ -69,11 +69,9 @@ impl Engine<'_> {
         self.store_forwards += u64::from(forwarded);
         let done_cycle = self.cycle + u64::from(lat);
         self.rob.complete(i, done_cycle);
-        if let Some((entries, _)) = self.timeline.as_mut() {
-            if let Some(e) = entries.get_mut(self.rob.seq_at(i) as usize) {
-                e.issue = self.cycle;
-                e.complete = done_cycle;
-            }
+        if let Some(e) = self.timeline.get_mut(self.rob.seq_at(i) as usize) {
+            e.issue = self.cycle;
+            e.complete = done_cycle;
         }
         let tid = self.rob.thread(i) as usize;
         if self.rob.is_mem(i) {

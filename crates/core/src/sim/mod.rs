@@ -21,20 +21,28 @@
 //! Because only the correct path is fetched, mispredictions are pure
 //! timing events and no squash machinery exists anywhere in the engine.
 //!
-//! The engine advances through `Engine::step` — exactly one cycle per
-//! call — so a driver can interleave many engines over one trace (the
-//! batched lockstep path, [`crate::batch`]). Front-end direction
-//! prediction lives behind `FetchStream`: prediction depends only on
-//! trace order, never on timing, so the batched driver annotates a shared
-//! trace once and fans the per-µop outcomes out to every lane, while the
-//! scalar path predicts inline as it pulls from its iterator.
+//! A run starts at [`Simulator::execute`]: a [`RunSpec`] says how long
+//! the warmup is, how many µops of timeline to record and whether to take
+//! a reference path, and the [`Outcome`] carries the report and the
+//! timeline. An engine is built ready to run (`Engine::new` takes the
+//! spec and, for a sampled interval, its warm start) and driven by one
+//! loop, `Engine::run`, which the sampled path also uses with a stop at a
+//! retirement count. The engine advances through `Engine::step` —
+//! exactly one cycle per call — so a driver can also interleave many
+//! engines over one trace (the batched lockstep path, [`crate::batch`]).
+//! Front-end direction prediction lives behind `FetchStream`: prediction
+//! depends only on trace order, never on timing, so the batched driver
+//! annotates a shared trace once and fans the per-µop outcomes out to
+//! every lane, while the scalar path predicts inline as it pulls from its
+//! iterator.
 //!
 //! # Layout
 //!
-//! This file holds the machine state (`Engine`), the per-cycle driver
-//! (`step`) and the report (`finish`); each stage is an `impl Engine`
-//! block in a child module (`fetch`, `dispatch`, `issue`, `commit`,
-//! `skip`, `attr`, `vp`). A rule that several stages apply has one home:
+//! This file holds the entry point (`Simulator`), the machine state
+//! (`Engine`), its construction, the run loop (`run`), the per-cycle
+//! driver (`step`) and the report (`finish`); each stage is an
+//! `impl Engine` block in a child module (`fetch`, `dispatch`, `issue`,
+//! `commit`, `skip`, `attr`, `vp`). A rule that several stages apply has one home:
 //! the operand-usable cycle is `Engine::usable_cycle`.
 
 mod attr;
@@ -107,8 +115,50 @@ impl RegInfo {
     }
 }
 
-/// A configured simulator. Construct with [`Simulator::new`], run a trace
-/// with [`Simulator::run`].
+/// How [`Simulator::execute`] runs its traces. The default is a plain run:
+/// no warmup, no timeline, the production engine.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RunSpec {
+    /// Retired µops before the measurement window opens. Cycle, IPC,
+    /// branch, unbalance and attribution figures cover only the µops after
+    /// it (the paper's §5.3 methodology: warm predictors, caches and the
+    /// window, then measure); memory-hierarchy and rename counters cover
+    /// the whole run.
+    pub warmup: u64,
+    /// Record per-µop pipeline timestamps for this many µops, in program
+    /// order (see [`crate::pipeview`]); 0 records none. Recording only
+    /// observes: the [`Report`] is the same either way.
+    pub timeline: usize,
+    /// Run a reference path instead of the production engine. Each is
+    /// bit-identical to the production engine by construction and exists
+    /// as a differential-testing oracle.
+    pub reference: Option<Reference>,
+}
+
+/// A reference path of the engine, for differential tests.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reference {
+    /// The retained O(window) selection scan instead of the event-driven
+    /// scheduler (the oracle for the wheel + intrusive-list engine, see
+    /// `tests/proptest_scheduler.rs`).
+    Scan,
+    /// The cycle-by-cycle loop instead of event-horizon skipping (the
+    /// oracle and timing baseline for skipping).
+    NoSkip,
+}
+
+/// What [`Simulator::execute`] returns.
+#[derive(Clone, Debug)]
+pub struct Outcome {
+    /// The run's statistics.
+    pub report: Report,
+    /// The first [`RunSpec::timeline`] µops' pipeline timestamps, indexed
+    /// by program-order sequence number (fewer if fewer were dispatched).
+    pub timeline: Vec<UopTiming>,
+}
+
+/// A configured simulator. Construct with [`Simulator::new`], run traces
+/// with [`Simulator::execute`].
 #[derive(Debug)]
 pub struct Simulator {
     config: SimConfig,
@@ -133,97 +183,61 @@ impl Simulator {
         &self.config
     }
 
-    /// Runs the trace to exhaustion (plus pipeline drain) and reports.
-    pub fn run(&self, trace: impl IntoIterator<Item = DynInst>) -> Report {
-        Engine::new(&self.config).run(vec![trace.into_iter()], 0, None)
+    /// Runs one trace per hardware thread (`config.threads` of them) to
+    /// exhaustion, plus pipeline drain, as `spec` says. Bound a window by
+    /// truncating each trace (`.take(n)`).
+    ///
+    /// On an SMT machine the threads share fetch/dispatch bandwidth
+    /// round-robin, the ROB, the clusters, the caches and the physical
+    /// register file; each has its own architectural map tables, store
+    /// queue and memory-order stream. The report's `per_thread_uops`
+    /// carries the per-thread retirement counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of traces is not `config.threads`.
+    pub fn execute<I: IntoIterator<Item = DynInst>>(
+        &self,
+        spec: &RunSpec,
+        traces: impl IntoIterator<Item = I>,
+    ) -> Outcome {
+        let traces: Vec<I::IntoIter> = traces.into_iter().map(IntoIterator::into_iter).collect();
+        assert_eq!(
+            traces.len(),
+            self.config.threads,
+            "one trace per hardware thread"
+        );
+        let stream = PredictedIters::new(traces, self.config.predictor.build());
+        Engine::new(&self.config, spec, None).run(stream, u64::MAX)
     }
 
-    /// Runs `warmup + measure` µops of the trace, warming predictors,
-    /// caches and the window for the first `warmup` retired µops and
-    /// reporting cycle/IPC/branch/unbalance statistics over the measured
-    /// window only — the paper's §5.3 methodology (fast-forward, warm,
-    /// measure a slice). Memory-hierarchy and rename counters cover the
-    /// whole run.
+    /// Runs `warmup + measure` µops of a single-thread trace and reports
+    /// over the measured window only: [`Simulator::execute`] with
+    /// [`RunSpec::warmup`] set and the trace truncated.
     pub fn run_measured(
         &self,
         trace: impl IntoIterator<Item = DynInst>,
         warmup: u64,
         measure: u64,
     ) -> Report {
-        self.measured(trace, warmup, measure, |_| {})
-    }
-
-    /// Like [`Simulator::run_measured`], but forcing the retained O(window)
-    /// selection scan instead of the event-driven scheduler. Bit-identical
-    /// to [`Simulator::run_measured`] by construction — exposed as the
-    /// differential-testing oracle for the wheel + intrusive-list engine
-    /// (see `tests/proptest_scheduler.rs`).
-    pub fn run_measured_scan_oracle(
-        &self,
-        trace: impl IntoIterator<Item = DynInst>,
-        warmup: u64,
-        measure: u64,
-    ) -> Report {
-        self.measured(trace, warmup, measure, |e| e.force_scan = true)
-    }
-
-    /// Like [`Simulator::run_measured`], but forcing the cycle-by-cycle
-    /// loop instead of event-horizon skipping — the oracle and timing
-    /// baseline for skipping. Bit-identical to
-    /// [`Simulator::run_measured`] by construction.
-    pub fn run_measured_no_skip(
-        &self,
-        trace: impl IntoIterator<Item = DynInst>,
-        warmup: u64,
-        measure: u64,
-    ) -> Report {
-        self.measured(trace, warmup, measure, |e| e.allow_skip = false)
-    }
-
-    /// The body of the `run_measured*` entry points: `oracle` switches
-    /// the engine onto a reference path before it runs.
-    fn measured(
-        &self,
-        trace: impl IntoIterator<Item = DynInst>,
-        warmup: u64,
-        measure: u64,
-        oracle: impl FnOnce(&mut Engine<'_>),
-    ) -> Report {
         let bounded = trace.into_iter().take((warmup + measure) as usize);
-        let mut engine = Engine::new(&self.config);
-        oracle(&mut engine);
-        engine.run(vec![bounded], warmup, None)
+        let spec = RunSpec {
+            warmup,
+            ..RunSpec::default()
+        };
+        self.execute(&spec, [bounded]).report
     }
+}
 
-    /// Runs an SMT machine: one trace per hardware thread
-    /// (`config.threads` of them). Threads share fetch/dispatch bandwidth
-    /// round-robin, the ROB, the clusters, the caches and the physical
-    /// register file; each has its own architectural map tables, store
-    /// queue and memory-order stream. The report's `per_thread_uops`
-    /// carries the per-thread retirement counts. Bound a window by
-    /// truncating each trace (`.take(n)`).
-    pub fn run_smt<I>(&self, traces: Vec<I>) -> Report
-    where
-        I: IntoIterator<Item = DynInst>,
-    {
-        let traces: Vec<I::IntoIter> = traces.into_iter().map(IntoIterator::into_iter).collect();
-        Engine::new(&self.config).run(traces, 0, None)
-    }
-
-    /// Runs like [`Simulator::run`] while recording per-µop pipeline
-    /// timestamps for the first `uop_limit` µops (see
-    /// [`crate::pipeview`]).
-    pub fn run_timeline(
-        &self,
-        trace: impl IntoIterator<Item = DynInst>,
-        uop_limit: usize,
-    ) -> (Report, Vec<UopTiming>) {
-        let mut engine = Engine::new(&self.config);
-        engine.timeline = Some((Vec::with_capacity(uop_limit.min(4096)), uop_limit));
-        let mut out = Vec::new();
-        let report = engine.run(vec![trace.into_iter()], 0, Some(&mut out));
-        (report, out)
-    }
+/// The state a sampled interval starts from instead of reset (see
+/// [`crate::sample`]).
+pub(crate) struct WarmStart {
+    /// A pre-warmed memory hierarchy, built from the run's configuration.
+    pub(crate) hierarchy: MemoryHierarchy,
+    /// WSRS only: the warm architectural subset map (integer, FP) and the
+    /// allocation policy's RNG position, so interval placement choices
+    /// replay the full run's.
+    pub(crate) arch_map: Option<([Vec<Subset>; 2], u64)>,
 }
 
 /// Counters snapshotted at the warmup boundary.
@@ -271,8 +285,10 @@ pub(crate) struct Engine<'a> {
     /// Dispatch is frozen until this cycle (deadlock-exception cost).
     dispatch_frozen_until: u64,
     recoveries: u64,
-    /// Optional per-µop timeline collection: (entries, limit).
-    timeline: Option<(Vec<UopTiming>, usize)>,
+    /// Per-µop timeline, indexed by seq, for the first `timeline_limit`
+    /// µops (none when the limit is 0).
+    timeline: Vec<UopTiming>,
+    timeline_limit: usize,
     vp: Option<VpState>,
     /// (head seq, cycles the ROB head has been VP-capacity-blocked).
     vp_blocked: (u64, u64),
@@ -282,17 +298,15 @@ pub(crate) struct Engine<'a> {
     /// window's `next_waiter` lane — hanging or draining a waiter is
     /// pointer writes, never an allocation.
     wheel: CalendarWheel,
-    /// Whether the event-horizon fast path may jump the clock over provably
-    /// dead cycles (always, except under
-    /// [`Simulator::run_measured_no_skip`], the cycle-by-cycle oracle).
-    allow_skip: bool,
+    /// The reference path this run takes instead of the production engine
+    /// ([`Reference::NoSkip`] never jumps the clock over provably dead
+    /// cycles; [`Reference::Scan`] selects with the O(window) scan even
+    /// without virtual-physical registers).
+    reference: Option<Reference>,
     /// Cycles the event-horizon fast path jumped over without simulating.
     /// Diagnostics only — deliberately not part of any [`Report`], which
     /// must stay bit-identical whether or not skipping ran.
     skipped_cycles: u64,
-    /// Forces the legacy O(window) scan even without virtual-physical
-    /// registers (test oracle for the event scheduler).
-    force_scan: bool,
     /// Per-thread trace exhaustion (a field so [`Engine::step`] can be
     /// driven cycle-by-cycle).
     trace_done: Vec<bool>,
@@ -330,16 +344,47 @@ pub(crate) struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    pub(crate) fn new(cfg: &'a SimConfig) -> Self {
-        let renamer = Renamer::new(cfg.renamer());
-        let subsets = renamer.config().subsets;
-        let (reg_info, vp) = Self::reset_regs(&renamer, cfg);
+    /// An engine ready to run under `spec`, from reset or from `warm`.
+    pub(crate) fn new(cfg: &'a SimConfig, spec: &RunSpec, warm: Option<WarmStart>) -> Self {
+        let warm = warm.unwrap_or_else(|| WarmStart {
+            hierarchy: MemoryHierarchy::new(cfg.hierarchy),
+            arch_map: None,
+        });
+        assert_eq!(
+            *warm.hierarchy.config(),
+            cfg.hierarchy,
+            "hierarchy configuration mismatch"
+        );
+        let mut allocator = Allocator::new(cfg.policy, cfg.mode, cfg.clusters, cfg.seed);
+        let renamer = match &warm.arch_map {
+            None => Renamer::new(cfg.renamer()),
+            Some(([int, fp], rng_state)) => {
+                allocator.set_rng_state(*rng_state);
+                Renamer::with_arch_subsets(cfg.renamer(), int, fp)
+            }
+        };
+        // Every architectural value is produced, in its subset's "home"
+        // cluster.
+        let regs = |class: RegClass, total: usize| {
+            let mut v = vec![RegInfo::new(0, 0, false); total];
+            for (_, m) in renamer.map_table(class).iter() {
+                v[m.phys.0 as usize].cluster = m.subset.0 % cfg.clusters as u8;
+            }
+            v
+        };
+        let rc = *renamer.config();
+        let reg_info = [
+            regs(RegClass::Int, rc.int_regs),
+            regs(RegClass::Fp, rc.fp_regs),
+        ];
+        let vp = VpState::initial(&renamer, cfg.vp_phys_per_subset);
+        let subsets = rc.subsets;
         Engine {
             cfg,
             cycle: 0,
-            allocator: Allocator::new(cfg.policy, cfg.mode, cfg.clusters, cfg.seed),
+            allocator,
             renamer,
-            hierarchy: MemoryHierarchy::new(cfg.hierarchy),
+            hierarchy: warm.hierarchy,
             clusters: (0..cfg.clusters)
                 .map(|i| ClusterState::with_resources(cfg.resources[i.min(3)]))
                 .collect(),
@@ -360,15 +405,15 @@ impl<'a> Engine<'a> {
             blocked_subset: None,
             dispatch_frozen_until: 0,
             recoveries: 0,
-            timeline: None,
+            timeline: Vec::with_capacity(spec.timeline.min(4096)),
+            timeline_limit: spec.timeline,
             vp,
             vp_blocked: (u64::MAX, 0),
             wheel: CalendarWheel::new(cfg.scheduler_horizon()),
-            allow_skip: true,
+            reference: spec.reference,
             skipped_cycles: 0,
-            force_scan: false,
             trace_done: vec![false; cfg.threads],
-            warmup: 0,
+            warmup: spec.warmup,
             snap: None,
             last_progress: (0, 0),
             fetch_buf_cap: 4 * cfg.fetch_width,
@@ -391,89 +436,12 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Sets the retired-µop count at which the measurement window opens
-    /// (for drivers using [`Engine::step`] directly).
-    pub(crate) fn set_warmup(&mut self, warmup: u64) {
-        self.warmup = warmup;
-    }
-
-    /// µops retired so far (for drivers using [`Engine::step`] directly
-    /// that end measurement at a retirement target rather than draining).
-    pub(crate) fn retired(&self) -> u64 {
-        self.retired
-    }
-
-    /// Replaces the memory hierarchy with a pre-warmed one (the sampled
-    /// path restores checkpointed cache state before an interval run).
-    /// The replacement must be built from the same configuration.
-    pub(crate) fn set_hierarchy(&mut self, hierarchy: MemoryHierarchy) {
-        assert_eq!(
-            *hierarchy.config(),
-            self.cfg.hierarchy,
-            "hierarchy configuration mismatch"
-        );
-        self.hierarchy = hierarchy;
-    }
-
-    /// Replaces the reset rename map with a warm architectural subset
-    /// assignment (the sampled path restores the functionally warmed
-    /// logical→subset distribution before an interval run). Rebuilds the
-    /// renamer, the physical-register table, and the register-cache
-    /// occupancy exactly as [`Engine::new`] would have built them from
-    /// this assignment. Must be called before the first `step`.
-    pub(crate) fn set_arch_subsets(&mut self, int: &[Subset], fp: &[Subset]) {
-        assert_eq!(
-            self.cycle, 0,
-            "warm subsets must be installed before stepping"
-        );
-        self.renamer = Renamer::with_arch_subsets(*self.renamer.config(), int, fp);
-        (self.reg_info, self.vp) = Self::reset_regs(&self.renamer, self.cfg);
-    }
-
-    /// Repositions the allocation policy's RNG mid-stream (the sampled
-    /// path restores the draw position the full run would have reached at
-    /// the interval boundary, so interval placement choices replay the
-    /// exact run's). Must be called before the first `step`.
-    pub(crate) fn set_alloc_rng_state(&mut self, state: u64) {
-        assert_eq!(self.cycle, 0, "RNG state must be installed before stepping");
-        self.allocator.set_rng_state(state);
-    }
-
-    /// The register state `renamer`'s map implies at reset: every
-    /// architectural value produced, in its subset's "home" cluster, and
-    /// each subset's VP occupancy.
-    fn reset_regs(renamer: &Renamer, cfg: &SimConfig) -> ([Vec<RegInfo>; 2], Option<VpState>) {
-        let regs = |class: RegClass, total: usize| {
-            let mut v = vec![RegInfo::new(0, 0, false); total];
-            for (_, m) in renamer.map_table(class).iter() {
-                v[m.phys.0 as usize].cluster = m.subset.0 % cfg.clusters as u8;
-            }
-            v
-        };
-        let (int, fp) = (renamer.config().int_regs, renamer.config().fp_regs);
-        let vp = VpState::initial(renamer, cfg.vp_phys_per_subset);
-        ([regs(RegClass::Int, int), regs(RegClass::Fp, fp)], vp)
-    }
-
-    /// Runs one trace per hardware thread to completion (plus pipeline
-    /// drain), moving any collected timeline into `timeline_out`.
-    /// Monomorphized over the concrete trace iterator `T`, so no entry
-    /// point pays dynamic dispatch per µop.
-    fn run<T: Iterator<Item = DynInst>>(
-        mut self,
-        traces: Vec<T>,
-        warmup: u64,
-        timeline_out: Option<&mut Vec<UopTiming>>,
-    ) -> Report {
-        assert_eq!(
-            traces.len(),
-            self.cfg.threads,
-            "one trace per hardware thread"
-        );
-        self.warmup = warmup;
-        let mut stream = PredictedIters::new(traces, self.cfg.predictor.build());
-        while self.step(&mut stream) {}
-        self.finish(timeline_out)
+    /// Steps until the pipeline drains, or until `stop_at` µops have
+    /// retired, and reports. Monomorphized over the fetch stream, so no
+    /// entry point pays dynamic dispatch per µop.
+    pub(crate) fn run<S: FetchStream>(mut self, mut stream: S, stop_at: u64) -> Outcome {
+        while self.retired < stop_at && self.step(&mut stream) {}
+        self.finish()
     }
 
     /// Advances the machine by exactly one cycle, pulling newly fetched
@@ -521,7 +489,7 @@ impl<'a> Engine<'a> {
             );
         }
         let mut next = self.cycle + 1;
-        if self.allow_skip && self.event_scheduler() {
+        if self.reference != Some(Reference::NoSkip) && self.event_scheduler() {
             if let Some(t) = self.skip_target() {
                 self.apply_skip(t);
                 next = t;
@@ -532,11 +500,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Closes the run: subtracts the warmup snapshot and assembles the
-    /// [`Report`].
-    pub(crate) fn finish(mut self, timeline_out: Option<&mut Vec<UopTiming>>) -> Report {
-        if let (Some((entries, _)), Some(out)) = (self.timeline.take(), timeline_out) {
-            *out = entries;
-        }
+    /// [`Report`], handing over the timeline.
+    pub(crate) fn finish(mut self) -> Outcome {
         let base = self.snap.take().unwrap_or_default();
         let per_cluster: Vec<u64> = self
             .clusters
@@ -546,7 +511,7 @@ impl<'a> Engine<'a> {
             .collect();
         let groups = self.unbalance.groups() - base.unbalance_groups;
         let flagged = self.unbalance.unbalanced() - base.unbalance_flagged;
-        Report {
+        let report = Report {
             cycles: (self.cycle - base.cycle).max(1),
             uops: self.retired - base.retired,
             branches: self.branches - base.branches,
@@ -568,6 +533,10 @@ impl<'a> Engine<'a> {
                 Some(b) => a.since(b),
                 None => a,
             }),
+        };
+        Outcome {
+            report,
+            timeline: self.timeline,
         }
     }
 

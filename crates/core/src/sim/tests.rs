@@ -2,7 +2,7 @@
 
 use super::*;
 use crate::alloc::AllocPolicy;
-use wsrs_isa::{Assembler, Emulator, Freg, Reg};
+use wsrs_isa::{Assembler, Emulator, Freg, Program, Reg};
 use wsrs_mem::HierarchyConfig;
 use wsrs_regfile::RenameStrategy;
 use wsrs_telemetry::SlotBucket;
@@ -14,7 +14,37 @@ fn perfect(mut cfg: SimConfig) -> SimConfig {
 }
 
 fn run_cfg(cfg: SimConfig, a: Assembler) -> Report {
-    Simulator::new(cfg).run(Emulator::new(a.assemble(), 1 << 20))
+    run(cfg, [Emulator::new(a.assemble(), 1 << 20)])
+}
+
+/// A plain run of one trace per hardware thread.
+fn run<I: IntoIterator<Item = DynInst>>(
+    cfg: SimConfig,
+    traces: impl IntoIterator<Item = I>,
+) -> Report {
+    Simulator::new(cfg)
+        .execute(&RunSpec::default(), traces)
+        .report
+}
+
+/// A spec on the `reference` path when `on` is set.
+fn reference_if(on: bool, reference: Reference) -> RunSpec {
+    RunSpec {
+        reference: on.then_some(reference),
+        ..RunSpec::default()
+    }
+}
+
+/// Steps `prog` to completion under `spec`, returning the cycles the
+/// event-horizon fast path jumped over alongside the outcome.
+fn stepped(cfg: &SimConfig, spec: &RunSpec, prog: &Program) -> (u64, Outcome) {
+    let mut e = Engine::new(cfg, spec, None);
+    let mut stream = PredictedIters::new(
+        vec![Emulator::new(prog.clone(), 1 << 20)],
+        cfg.predictor.build(),
+    );
+    while e.step(&mut stream) {}
+    (e.skipped_cycles, e.finish())
 }
 
 /// A long chain of dependent single-cycle adds: IPC must approach 1.
@@ -470,10 +500,13 @@ fn smt_runs_two_threads_to_completion() {
     let t1 = int_loop(400, 10..20);
     let expect0 = 2 + 500 * 7;
     let expect1 = 2 + 400 * 12;
-    let r = Simulator::new(cfg).run_smt(vec![
-        Emulator::new(t0.assemble(), 1 << 16),
-        Emulator::new(t1.assemble(), 1 << 16),
-    ]);
+    let r = run(
+        cfg,
+        [
+            Emulator::new(t0.assemble(), 1 << 16),
+            Emulator::new(t1.assemble(), 1 << 16),
+        ],
+    );
     assert!(!r.deadlocked);
     assert_eq!(r.per_thread_uops, vec![expect0, expect1]);
     assert_eq!(r.uops, expect0 + expect1);
@@ -488,16 +521,21 @@ fn smt_throughput_exceeds_either_thread_alone() {
         a.halt();
         a.assemble()
     };
-    let single = Simulator::new(perfect(SimConfig::wsrs(
-        512,
-        AllocPolicy::RandomCommutative,
-        RenameStrategy::ExactCount,
-    )))
-    .run(Emulator::new(build(), 1 << 16));
-    let smt = Simulator::new(smt_cfg(512)).run_smt(vec![
-        Emulator::new(build(), 1 << 16),
-        Emulator::new(build(), 1 << 16),
-    ]);
+    let single = run(
+        perfect(SimConfig::wsrs(
+            512,
+            AllocPolicy::RandomCommutative,
+            RenameStrategy::ExactCount,
+        )),
+        [Emulator::new(build(), 1 << 16)],
+    );
+    let smt = run(
+        smt_cfg(512),
+        [
+            Emulator::new(build(), 1 << 16),
+            Emulator::new(build(), 1 << 16),
+        ],
+    );
     assert!(!smt.deadlocked);
     assert_eq!(smt.uops, 2 * single.uops);
     let speedup = single.cycles as f64 * 2.0 / smt.cycles as f64;
@@ -506,22 +544,6 @@ fn smt_throughput_exceeds_either_thread_alone() {
         "SMT should beat serial execution: {speedup:.2}x"
     );
     assert!(speedup <= 2.05, "and cannot exceed 2x: {speedup:.2}x");
-}
-
-#[test]
-fn smt_with_one_thread_matches_plain_run() {
-    let mut a = int_loop(800, 1..8);
-    a.halt();
-    let p = a.assemble();
-    let cfg = perfect(SimConfig::wsrs(
-        512,
-        AllocPolicy::RandomCommutative,
-        RenameStrategy::ExactCount,
-    ));
-    let plain = Simulator::new(cfg).run(Emulator::new(p.clone(), 1 << 16));
-    let smt = Simulator::new(cfg).run_smt(vec![Emulator::new(p, 1 << 16)]);
-    assert_eq!(plain.cycles, smt.cycles);
-    assert_eq!(plain.uops, smt.uops);
 }
 
 #[test]
@@ -551,10 +573,13 @@ fn smt_threads_do_not_forward_across_address_spaces() {
         a.halt();
         a.assemble()
     };
-    let r = Simulator::new(smt_cfg(512)).run_smt(vec![
-        Emulator::new(build(7), 1 << 16),
-        Emulator::new(build(9), 1 << 16),
-    ]);
+    let r = run(
+        smt_cfg(512),
+        [
+            Emulator::new(build(7), 1 << 16),
+            Emulator::new(build(9), 1 << 16),
+        ],
+    );
     assert!(!r.deadlocked);
     assert_eq!(r.per_thread_uops[0], r.per_thread_uops[1]);
     // forwarding still works within each thread
@@ -563,7 +588,7 @@ fn smt_threads_do_not_forward_across_address_spaces() {
 
 #[test]
 fn empty_trace_is_harmless() {
-    let r = Simulator::new(SimConfig::conventional_rr(256)).run(std::iter::empty());
+    let r = run(SimConfig::conventional_rr(256), [std::iter::empty()]);
     assert_eq!(r.uops, 0);
     assert_eq!(r.ipc(), 0.0);
     assert!(!r.deadlocked);
@@ -590,8 +615,12 @@ fn timeline_records_ordered_lifecycle() {
     a.addi(i, i, 1);
     a.blt(i, n, top);
     a.halt();
-    let (report, timeline) = Simulator::new(perfect(SimConfig::conventional_rr(256)))
-        .run_timeline(Emulator::new(a.assemble(), 4096), 64);
+    let spec = RunSpec {
+        timeline: 64,
+        ..RunSpec::default()
+    };
+    let Outcome { report, timeline } = Simulator::new(perfect(SimConfig::conventional_rr(256)))
+        .execute(&spec, [Emulator::new(a.assemble(), 4096)]);
     assert_eq!(timeline.len(), 64);
     assert!(report.uops > 64);
     for (k, t) in timeline.iter().enumerate() {
@@ -810,18 +839,13 @@ fn event_scheduler_matches_scan_bit_for_bit() {
         )),
     ];
     for (ci, cfg) in configs.into_iter().enumerate() {
-        let event = Engine::new(&cfg).run(
-            vec![Emulator::new(mixed_kernel().assemble(), 1 << 20)],
-            0,
-            None,
-        );
-        let mut oracle = Engine::new(&cfg);
-        oracle.force_scan = true;
-        let scan = oracle.run(
-            vec![Emulator::new(mixed_kernel().assemble(), 1 << 20)],
-            0,
-            None,
-        );
+        let run = |scan: bool| {
+            let trace = Emulator::new(mixed_kernel().assemble(), 1 << 20);
+            Simulator::new(cfg)
+                .execute(&reference_if(scan, Reference::Scan), [trace])
+                .report
+        };
+        let (event, scan) = (run(false), run(true));
         assert_eq!(
             format!("{event:?}"),
             format!("{scan:?}"),
@@ -835,26 +859,25 @@ fn event_scheduler_matches_scan_bit_for_bit() {
 #[test]
 fn event_scheduler_matches_scan_warmup_and_smt() {
     let cfg = SimConfig::wsrs(512, AllocPolicy::RandomMonadic, RenameStrategy::ExactCount);
-    let warm = |force_scan: bool| {
-        let mut e = Engine::new(&cfg);
-        e.force_scan = force_scan;
-        e.run(
-            vec![Emulator::new(mixed_kernel().assemble(), 1 << 20).take(3000)],
-            1000,
-            None,
-        )
+    let warm = |scan: bool| {
+        let spec = RunSpec {
+            warmup: 1000,
+            ..reference_if(scan, Reference::Scan)
+        };
+        let trace = Emulator::new(mixed_kernel().assemble(), 1 << 20).take(3000);
+        Simulator::new(cfg).execute(&spec, [trace]).report
     };
     assert_eq!(format!("{:?}", warm(false)), format!("{:?}", warm(true)));
 
     let smt = smt_cfg(512);
-    let run = |force_scan: bool| {
-        let traces = vec![
+    let run = |scan: bool| {
+        let traces = [
             Emulator::new(int_loop(500, 1..6).assemble(), 1 << 16),
             Emulator::new(int_loop(400, 10..20).assemble(), 1 << 16),
         ];
-        let mut e = Engine::new(&smt);
-        e.force_scan = force_scan;
-        e.run(traces, 0, None)
+        Simulator::new(smt)
+            .execute(&reference_if(scan, Reference::Scan), traces)
+            .report
     };
     assert_eq!(format!("{:?}", run(false)), format!("{:?}", run(true)));
 
@@ -863,14 +886,14 @@ fn event_scheduler_matches_scan_warmup_and_smt() {
     // their own, in one shared window.
     let mut smt = smt_cfg(512);
     smt.hierarchy = HierarchyConfig::paper();
-    let run = |force_scan: bool| {
-        let traces = vec![
+    let run = |scan: bool| {
+        let traces = [
             Workload::Swim.trace().take(20_000),
             Workload::Applu.trace().take(20_000),
         ];
-        let mut e = Engine::new(&smt);
-        e.force_scan = force_scan;
-        e.run(traces, 0, None)
+        Simulator::new(smt)
+            .execute(&reference_if(scan, Reference::Scan), traces)
+            .report
     };
     let event = run(false);
     assert!(event.memory.l1.misses > 100, "kernels must reach memory");
@@ -910,10 +933,13 @@ fn event_scheduler_overflow_matches_scan() {
     a.blt(i, n, top);
     a.halt();
     let prog = a.assemble();
-    let event = Engine::new(&cfg).run(vec![Emulator::new(prog.clone(), 1 << 20)], 0, None);
-    let mut oracle = Engine::new(&cfg);
-    oracle.force_scan = true;
-    let scan = oracle.run(vec![Emulator::new(prog, 1 << 20)], 0, None);
+    let run = |scan: bool| {
+        let trace = Emulator::new(prog.clone(), 1 << 20);
+        Simulator::new(cfg)
+            .execute(&reference_if(scan, Reference::Scan), [trace])
+            .report
+    };
+    let (event, scan) = (run(false), run(true));
     assert!(event.memory.l2.misses > 50, "kernel must actually miss L2");
     assert_eq!(format!("{event:?}"), format!("{scan:?}"));
 }
@@ -948,15 +974,9 @@ fn cycle_skipping_engages_and_preserves_reports() {
     a.halt();
     let prog = a.assemble();
     let run = |allow_skip: bool| {
-        let mut e = Engine::new(&cfg);
-        e.allow_skip = allow_skip;
-        let mut stream = PredictedIters::new(
-            vec![Emulator::new(prog.clone(), 1 << 20)],
-            cfg.predictor.build(),
-        );
-        while e.step(&mut stream) {}
-        let skipped = e.skipped_cycles;
-        (skipped, e.finish(None))
+        let (skipped, outcome) =
+            stepped(&cfg, &reference_if(!allow_skip, Reference::NoSkip), &prog);
+        (skipped, outcome.report)
     };
     let (skipped, fast) = run(true);
     let (none, slow) = run(false);
@@ -1003,22 +1023,27 @@ fn parked_memory_uops_issue_like_scan_and_let_skip_engage() {
     a.blt(i, n, top);
     a.halt();
     let prog = a.assemble();
-    let run = |force_scan: bool| {
-        let mut e = Engine::new(&cfg);
-        e.force_scan = force_scan;
-        e.timeline = Some((Vec::new(), usize::MAX));
-        let mut stream = PredictedIters::new(
-            vec![Emulator::new(prog.clone(), 1 << 20)],
-            cfg.predictor.build(),
-        );
-        while e.step(&mut stream) {}
-        let skipped = e.skipped_cycles;
-        let mut timeline = Vec::new();
-        let report = e.finish(Some(&mut timeline));
-        (skipped, report, timeline)
+    let run = |scan: bool| {
+        let spec = RunSpec {
+            timeline: usize::MAX,
+            ..reference_if(scan, Reference::Scan)
+        };
+        stepped(&cfg, &spec, &prog)
     };
-    let (skipped, event, timeline) = run(false);
-    let (_, scan, scan_timeline) = run(true);
+    let (
+        skipped,
+        Outcome {
+            report: event,
+            timeline,
+        },
+    ) = run(false);
+    let (
+        _,
+        Outcome {
+            report: scan,
+            timeline: scan_timeline,
+        },
+    ) = run(true);
     assert_eq!(format!("{event:?}"), format!("{scan:?}"));
     let issues = |t: &[UopTiming]| t.iter().map(|u| u.issue).collect::<Vec<_>>();
     assert_eq!(issues(&timeline), issues(&scan_timeline));
@@ -1067,14 +1092,9 @@ fn cycle_skipping_preserves_redirect_stalls() {
     a.halt();
     let prog = a.assemble();
     let run = |allow_skip: bool| {
-        let mut e = Engine::new(&cfg);
-        e.allow_skip = allow_skip;
-        let mut stream = PredictedIters::new(
-            vec![Emulator::new(prog.clone(), 1 << 20)],
-            cfg.predictor.build(),
-        );
-        while e.step(&mut stream) {}
-        (e.skipped_cycles, e.finish(None))
+        let (skipped, outcome) =
+            stepped(&cfg, &reference_if(!allow_skip, Reference::NoSkip), &prog);
+        (skipped, outcome.report)
     };
     let (skipped, fast) = run(true);
     let (_, slow) = run(false);

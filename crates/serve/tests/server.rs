@@ -224,8 +224,8 @@ fn bad_submissions_and_unknown_jobs_are_rejected() {
 }
 
 /// A submission that parses but cannot run (a zero `measure` under a
-/// sample spec has no sampling plan) or carries a malformed field is a
-/// 400 naming the field, and never reaches the single worker: a valid job
+/// sample spec has no sampling plan, a window whose length overflows a
+/// `u64`) or carries a malformed field is a 400 naming the field, and never reaches the single worker: a valid job
 /// after it still completes, and shutdown is clean.
 #[test]
 fn bad_requests_leave_the_worker_pool_serving() {
@@ -251,6 +251,11 @@ fn bad_requests_leave_the_worker_pool_serving() {
         (
             "{\"warmup\":\"abc\",\"cells\":[{\"workload\":\"gzip\",\"config\":\"RR 256\"}]}",
             "'warmup'",
+        ),
+        (
+            "{\"warmup\":18446744073709551615,\"measure\":1,\
+             \"cells\":[{\"workload\":\"gzip\",\"config\":\"RR 256\"}]}",
+            "'warmup' + 'measure'",
         ),
         (
             "{\"cells\":[{\"workload\":\"gzip\",\"config\":\"RR 256\",\

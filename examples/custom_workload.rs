@@ -10,7 +10,7 @@
 //! cargo run --release --example custom_workload
 //! ```
 
-use wsrs::core::{AllocPolicy, SimConfig, Simulator};
+use wsrs::core::{AllocPolicy, RunSpec, SimConfig, Simulator};
 use wsrs::isa::{Assembler, Emulator, Program, Reg};
 use wsrs::regfile::RenameStrategy;
 use wsrs::workgen::{gen_name, generate, WorkloadProfile};
@@ -102,7 +102,10 @@ fn main() {
             ),
         ),
     ] {
-        let r = Simulator::new(cfg).run(Emulator::new(program.clone(), 1 << 22));
+        let trace = Emulator::new(program.clone(), 1 << 22);
+        let r = Simulator::new(cfg)
+            .execute(&RunSpec::default(), [trace])
+            .report;
         println!(
             "{name:<22} IPC {:.3}  ({} cycles, {:.1}% unbalance)",
             r.ipc(),

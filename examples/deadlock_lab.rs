@@ -11,7 +11,7 @@
 //! cargo run --release --example deadlock_lab
 //! ```
 
-use wsrs::core::{AllocPolicy, SimConfig, Simulator};
+use wsrs::core::{AllocPolicy, RunSpec, SimConfig, Simulator};
 use wsrs::isa::{Assembler, Emulator, Reg};
 use wsrs::regfile::RenameStrategy;
 use wsrs_isa::RegClass;
@@ -54,15 +54,20 @@ fn main() {
         rule.renamer().per_subset(RegClass::Int)
     );
 
-    let (prog, expected) = migrating_kernel();
-    let r = Simulator::new(tiny_config(false)).run(Emulator::new(prog.assemble(), 1 << 16));
+    let run = |cfg| {
+        let trace = Emulator::new(migrating_kernel().0.assemble(), 1 << 16);
+        Simulator::new(cfg)
+            .execute(&RunSpec::default(), [trace])
+            .report
+    };
+    let expected = migrating_kernel().1;
+    let r = run(tiny_config(false));
     println!(
         "\nwithout recovery: deadlocked = {}, retired {}/{} µops in {} cycles",
         r.deadlocked, r.uops, expected, r.cycles
     );
 
-    let (prog, _) = migrating_kernel();
-    let r = Simulator::new(tiny_config(true)).run(Emulator::new(prog.assemble(), 1 << 16));
+    let r = run(tiny_config(true));
     println!(
         "with recovery:    deadlocked = {}, retired {}/{} µops in {} cycles, {} exception(s)",
         r.deadlocked, r.uops, expected, r.cycles, r.deadlock_recoveries
@@ -71,21 +76,18 @@ fn main() {
     // Workaround (a): allocation avoids exhausted subsets up front.
     let mut avoid = tiny_config(false);
     avoid.avoid_exhaustion = true;
-    let (prog, _) = migrating_kernel();
-    let r = Simulator::new(avoid).run(Emulator::new(prog.assemble(), 1 << 16));
+    let r = run(avoid);
     println!(
         "with avoidance:   deadlocked = {}, retired {}/{} µops in {} cycles (workaround (a): best-effort)",
         r.deadlocked, r.uops, expected, r.cycles
     );
 
     // And the paper-sized machine never needs any of this:
-    let (prog, _) = migrating_kernel();
-    let r = Simulator::new(SimConfig::wsrs(
+    let r = run(SimConfig::wsrs(
         384,
         AllocPolicy::RandomCommutative,
         RenameStrategy::ExactCount,
-    ))
-    .run(Emulator::new(prog.assemble(), 1 << 16));
+    ));
     println!(
         "paper 384-reg:    deadlocked = {}, retired {} µops in {} cycles (96 ≥ 80 per subset)",
         r.deadlocked, r.uops, r.cycles

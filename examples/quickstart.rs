@@ -7,7 +7,7 @@
 //! ```
 
 use wsrs::complexity::{table1, CactiModel, RegFileOrg};
-use wsrs::core::{AllocPolicy, SimConfig, Simulator};
+use wsrs::core::{AllocPolicy, RunSpec, SimConfig, Simulator};
 use wsrs::isa::{Assembler, Emulator, Reg};
 use wsrs::regfile::RenameStrategy;
 
@@ -31,14 +31,18 @@ fn main() {
     println!("functional result: sum = {}", emu.int_reg(sum));
 
     // 3. Timing simulation: conventional round-robin vs full WSRS.
-    let conventional =
-        Simulator::new(SimConfig::conventional_rr(256)).run(Emulator::new(program.clone(), 4096));
-    let wsrs = Simulator::new(SimConfig::wsrs(
+    let run = |cfg| {
+        let trace = Emulator::new(program.clone(), 4096);
+        Simulator::new(cfg)
+            .execute(&RunSpec::default(), [trace])
+            .report
+    };
+    let conventional = run(SimConfig::conventional_rr(256));
+    let wsrs = run(SimConfig::wsrs(
         512,
         AllocPolicy::RandomCommutative,
         RenameStrategy::ExactCount,
-    ))
-    .run(Emulator::new(program, 4096));
+    ));
     println!(
         "conventional RR 256 : {:>8} cycles, IPC {:.3}",
         conventional.cycles,

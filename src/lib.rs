@@ -28,13 +28,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use wsrs::core::{SimConfig, Simulator};
+//! use wsrs::core::{RunSpec, SimConfig, Simulator};
 //! use wsrs::workloads::Workload;
 //!
 //! let trace = Workload::Gzip.trace();
 //! let config = SimConfig::conventional_rr(256);
-//! let report = Simulator::new(config).run(trace.take(20_000));
-//! assert!(report.ipc() > 0.5);
+//! let outcome = Simulator::new(config).execute(&RunSpec::default(), [trace.take(20_000)]);
+//! assert!(outcome.report.ipc() > 0.5);
 //! ```
 
 pub use wsrs_complexity as complexity;

@@ -1,7 +1,7 @@
 //! Reproducibility: every experiment in the repository must be exactly
 //! repeatable — same seed, same trace, same cycle count.
 
-use wsrs::core::{AllocPolicy, SimConfig, Simulator};
+use wsrs::core::{AllocPolicy, RunSpec, SimConfig, Simulator};
 use wsrs::regfile::RenameStrategy;
 use wsrs::workloads::Workload;
 
@@ -221,10 +221,10 @@ fn engine_paths_off_the_gate_grid_are_pinned() {
     );
     smt.threads = 2;
     smt.deadlock_recovery = true;
-    let smt = row(Simulator::new(smt).run_smt(vec![
-        Workload::Gzip.trace().take(20_000),
-        Workload::Vpr.trace().take(20_000),
-    ]));
+    let traces = [Workload::Gzip, Workload::Vpr].map(|w| w.trace().take(20_000));
+    let smt = row(Simulator::new(smt)
+        .execute(&RunSpec::default(), traces)
+        .report);
 
     // 23 physical registers per subset: the issue-time anti-wedge fires.
     let mut vp = SimConfig::write_specialized_rr(512, RenameStrategy::ExactCount);
@@ -285,4 +285,37 @@ fn engine_paths_off_the_gate_grid_are_pinned() {
         "reg_cache"
     );
     assert_eq!(pair, (5692, 20000, 0, false, 0, 5768, 0, 4456), "pair");
+}
+
+/// The sampled path, pinned: two cold-store cells on a short window, one
+/// WSRS `RM` cell (its intervals start from the warm subset map and the
+/// replayed policy-RNG position) and one `RR 256` cell. Each row is
+/// `(ipc_estimate bits, aggregate.cycles, uops_detailed)`; a change to
+/// how an interval engine is built or driven cannot move them unnoticed.
+#[test]
+fn sampled_cells_are_pinned() {
+    use wsrs::core::{run_sampled, NoSampleStore, SampleSpec};
+
+    let spec = SampleSpec {
+        intervals: 8,
+        interval_uops: 750,
+        detail_warmup: 1_000,
+    };
+    let (warmup, measure) = (20_000, 60_000);
+    let sampled = |cfg: SimConfig, w: Workload| {
+        let trace: Vec<_> = w.trace().take((warmup + measure) as usize).collect();
+        let r = run_sampled(&cfg, &trace, warmup, measure, &spec, &NoSampleStore);
+        (
+            r.ipc_estimate.to_bits(),
+            r.aggregate.cycles,
+            r.uops_detailed,
+        )
+    };
+    let rm = sampled(
+        SimConfig::wsrs(512, AllocPolicy::RandomMonadic, RenameStrategy::ExactCount),
+        Workload::Vpr,
+    );
+    let rr = sampled(SimConfig::conventional_rr(256), Workload::Gcc);
+    assert_eq!(rm, (4611397115850918200, 3104, 14000), "WSRS RM 512");
+    assert_eq!(rr, (4607007358867115147, 6107, 14000), "RR 256");
 }

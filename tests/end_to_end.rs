@@ -2,7 +2,7 @@
 //! timing simulator, across the paper's machine classes. These tests pin
 //! the *qualitative* results of Figures 4 and 5 at reduced trace lengths.
 
-use wsrs::core::{AllocPolicy, Report, SimConfig, Simulator};
+use wsrs::core::{AllocPolicy, Report, RunSpec, SimConfig, Simulator};
 use wsrs::regfile::RenameStrategy;
 use wsrs::workloads::Workload;
 
@@ -156,7 +156,9 @@ fn per_cluster_counts_sum_to_measured_uops() {
     for cfg in [SimConfig::conventional_rr(256), rc512()] {
         // Exact when no warm-up window is involved (dispatch == retire over
         // a full run)...
-        let full = Simulator::new(cfg).run(Workload::Gcc.trace().take(60_000));
+        let full = Simulator::new(cfg)
+            .execute(&RunSpec::default(), [Workload::Gcc.trace().take(60_000)])
+            .report;
         let total: u64 = full.per_cluster.iter().sum();
         assert_eq!(total, full.uops);
         // ...and within the in-flight window size for a measured slice

@@ -2,7 +2,7 @@
 //! pooled Figure 2b machine, the LoadBalance policy, virtual-physical
 //! registers composed with WSRS, and deadlock recovery.
 
-use wsrs::core::{AllocPolicy, SimConfig, Simulator};
+use wsrs::core::{AllocPolicy, Outcome, RunSpec, SimConfig, Simulator};
 use wsrs::regfile::RenameStrategy;
 use wsrs::workloads::Workload;
 
@@ -95,10 +95,10 @@ fn smt_pairs_real_workloads() {
     cfg.threads = 2;
     cfg.deadlock_recovery = true;
     let per_thread = 120_000;
-    let r = Simulator::new(cfg).run_smt(vec![
-        Workload::Gzip.trace().take(per_thread),
-        Workload::Swim.trace().take(per_thread),
-    ]);
+    let traces = [Workload::Gzip, Workload::Swim].map(|w| w.trace().take(per_thread));
+    let r = Simulator::new(cfg)
+        .execute(&RunSpec::default(), traces)
+        .report;
     assert!(!r.deadlocked);
     assert_eq!(
         r.per_thread_uops,
@@ -109,7 +109,11 @@ fn smt_pairs_real_workloads() {
         AllocPolicy::RandomCommutative,
         RenameStrategy::ExactCount,
     ))
-    .run(Workload::Gzip.trace().take(per_thread));
+    .execute(
+        &RunSpec::default(),
+        [Workload::Gzip.trace().take(per_thread)],
+    )
+    .report;
     assert!(
         r.ipc() > gzip_alone.ipc(),
         "SMT throughput {} should exceed one thread's {}",
@@ -121,8 +125,12 @@ fn smt_pairs_real_workloads() {
 #[test]
 fn timeline_collection_matches_report() {
     let cfg = SimConfig::wsrs(512, AllocPolicy::RandomMonadic, RenameStrategy::ExactCount);
-    let (report, timeline) =
-        Simulator::new(cfg).run_timeline(Workload::Vpr.trace().take(5_000), 256);
+    let spec = RunSpec {
+        timeline: 256,
+        ..RunSpec::default()
+    };
+    let Outcome { report, timeline } =
+        Simulator::new(cfg).execute(&spec, [Workload::Vpr.trace().take(5_000)]);
     assert_eq!(report.uops, 5_000);
     assert_eq!(timeline.len(), 256);
     // Every recorded µop retired within the simulated cycle range.
@@ -130,4 +138,46 @@ fn timeline_collection_matches_report() {
         assert!(t.commit <= report.cycles);
         assert!(t.cluster < 4);
     }
+}
+
+/// Recording a timeline only observes: the report is the one the same
+/// run gives without a timeline, on a measured workload window and on a
+/// 2-thread SMT run.
+#[test]
+fn timeline_only_observes() {
+    let same_report = |cfg: SimConfig, warmup: u64, traces: &dyn Fn() -> Vec<_>| {
+        let sim = Simulator::new(cfg);
+        let plain = RunSpec {
+            warmup,
+            ..RunSpec::default()
+        };
+        let recorded = RunSpec {
+            timeline: 512,
+            ..plain
+        };
+        let without = sim.execute(&plain, traces());
+        let with = sim.execute(&recorded, traces());
+        assert!(without.timeline.is_empty());
+        assert_eq!(with.timeline.len(), 512);
+        assert_eq!(
+            format!("{:?}", with.report),
+            format!("{:?}", without.report)
+        );
+    };
+    let rm = SimConfig::wsrs(512, AllocPolicy::RandomMonadic, RenameStrategy::ExactCount);
+    same_report(rm, 5_000, &|| vec![Workload::Gcc.trace().take(25_000)]);
+
+    let mut smt = SimConfig::wsrs(
+        512,
+        AllocPolicy::RandomCommutative,
+        RenameStrategy::ExactCount,
+    );
+    smt.threads = 2;
+    smt.deadlock_recovery = true;
+    same_report(smt, 0, &|| {
+        vec![
+            Workload::Gzip.trace().take(20_000),
+            Workload::Swim.trace().take(20_000),
+        ]
+    });
 }

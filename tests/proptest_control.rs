@@ -4,7 +4,7 @@
 //! exact dynamic µop count on every machine class.
 
 use proptest::prelude::*;
-use wsrs::core::{AllocPolicy, SimConfig, Simulator};
+use wsrs::core::{AllocPolicy, RunSpec, SimConfig, Simulator};
 use wsrs::isa::{Assembler, Emulator, Program, Reg};
 use wsrs::regfile::RenameStrategy;
 
@@ -191,7 +191,8 @@ proptest! {
             SimConfig::conventional_rr(256),
             SimConfig::wsrs(512, AllocPolicy::RandomCommutative, RenameStrategy::ExactCount),
         ] {
-            let r = Simulator::new(cfg).run(Emulator::new(program.clone(), 1 << 16));
+            let trace = Emulator::new(program.clone(), 1 << 16);
+            let r = Simulator::new(cfg).execute(&RunSpec::default(), [trace]).report;
             prop_assert_eq!(r.uops, expect.uops);
             prop_assert!(!r.deadlocked);
             prop_assert!(r.ipc() <= 8.0);

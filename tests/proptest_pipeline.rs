@@ -3,7 +3,7 @@
 //! completely through the timing simulator on every machine class.
 
 use proptest::prelude::*;
-use wsrs::core::{AllocPolicy, SimConfig, Simulator};
+use wsrs::core::{AllocPolicy, RunSpec, SimConfig, Simulator};
 use wsrs::isa::{Assembler, Emulator, Program, Reg};
 use wsrs::regfile::RenameStrategy;
 
@@ -124,7 +124,8 @@ proptest! {
             SimConfig::wsrs(512, AllocPolicy::RandomCommutative, RenameStrategy::Recycling),
             vp,
         ] {
-            let r = Simulator::new(cfg).run(Emulator::new(program.clone(), 1 << 20));
+            let trace = Emulator::new(program.clone(), 1 << 20);
+            let r = Simulator::new(cfg).execute(&RunSpec::default(), [trace]).report;
             prop_assert_eq!(r.uops as usize, ops.len());
             prop_assert!(!r.deadlocked);
             let per_cluster: u64 = r.per_cluster.iter().sum();
@@ -156,7 +157,8 @@ proptest! {
         }
         // The timing core must also complete it, with forwards observed.
         let r = Simulator::new(SimConfig::conventional_rr(256))
-            .run(Emulator::new(program, 1 << 16));
+            .execute(&RunSpec::default(), [Emulator::new(program, 1 << 16)])
+            .report;
         prop_assert!(r.store_forwards >= vals.len() as u64 / 2);
     }
 }

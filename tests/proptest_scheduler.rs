@@ -18,7 +18,9 @@
 //! Any divergence, down to a single stall counter, is a bug.
 
 use proptest::prelude::*;
-use wsrs::core::{lockstep_compatible, run_lockstep, AllocPolicy, SimConfig, Simulator};
+use wsrs::core::{
+    lockstep_compatible, run_lockstep, AllocPolicy, Reference, RunSpec, SimConfig, Simulator,
+};
 use wsrs::isa::DynInst;
 use wsrs::regfile::RenameStrategy;
 use wsrs::workloads::Workload;
@@ -81,8 +83,13 @@ proptest! {
         let sim = Simulator::new(cfg);
         // Default path: event scheduler with cycle skipping.
         let event = sim.run_measured(trace.iter().copied(), warmup, measure);
-        let no_skip = sim.run_measured_no_skip(trace.iter().copied(), warmup, measure);
-        let oracle = sim.run_measured_scan_oracle(trace.iter().copied(), warmup, measure);
+        let reference = |reference| {
+            let spec = RunSpec { warmup, reference: Some(reference), ..RunSpec::default() };
+            // The slice is the window: `warmup + measure == len`.
+            sim.execute(&spec, [trace.iter().copied()]).report
+        };
+        let no_skip = reference(Reference::NoSkip);
+        let oracle = reference(Reference::Scan);
         prop_assert_eq!(
             format!("{event:?}"),
             format!("{oracle:?}"),

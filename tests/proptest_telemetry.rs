@@ -5,7 +5,7 @@
 //! worker counts.
 
 use proptest::prelude::*;
-use wsrs::core::{AllocPolicy, SimConfig, Simulator};
+use wsrs::core::{AllocPolicy, RunSpec, SimConfig, Simulator};
 use wsrs::isa::{Assembler, Emulator, Program, Reg};
 use wsrs::regfile::RenameStrategy;
 use wsrs::telemetry::SlotBucket;
@@ -87,7 +87,8 @@ proptest! {
     ) {
         let program = assemble(&ops);
         let cfg = machines()[machine];
-        let r = Simulator::new(cfg).run(Emulator::new(program, 1 << 20));
+        let trace = Emulator::new(program, 1 << 20);
+        let r = Simulator::new(cfg).execute(&RunSpec::default(), [trace]).report;
         let attr = r.attribution.expect("telemetry enabled");
         prop_assert!(attr.conserved(), "sum(buckets) != cycles × width");
         // Every retired µop fills exactly one committed slot.
