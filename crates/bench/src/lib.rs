@@ -993,7 +993,7 @@ impl CellJob {
     /// A message naming the field: a missing or unknown workload/config,
     /// a malformed window, a zero `measure` (see
     /// [`window_from_json`]), or a `sample` object with a missing, zero
-    /// or malformed field.
+    /// or malformed field or more intervals than measured µops.
     pub fn from_json(
         v: &Json,
         registry: &[(String, SimConfig)],
@@ -1013,12 +1013,22 @@ impl CellJob {
             .find(|(n, _)| n == name)
             .map(|(_, c)| *c)
             .ok_or(format!("unknown config '{name}'"))?;
+        let params = window_from_json(v, params)?;
         let sample = v.get("sample").map(sample_from_json).transpose()?;
+        if let Some(spec) = &sample {
+            // Each interval starts at its own measured µop.
+            if u64::from(spec.intervals) > params.measure {
+                return Err(format!(
+                    "'sample.intervals' ({}) exceeds the {} measured µops",
+                    spec.intervals, params.measure
+                ));
+            }
+        }
         Ok(CellJob {
             workload,
             config_name: name.to_string(),
             config,
-            params: window_from_json(v, params)?,
+            params,
             sample,
         })
     }
@@ -1722,6 +1732,10 @@ mod tests {
             ),
             (
                 ",\"sample\":{\"intervals\":4294967296,\"interval_uops\":5,\"detail_warmup\":1}",
+                "'sample.intervals'",
+            ),
+            (
+                ",\"sample\":{\"intervals\":2001,\"interval_uops\":5,\"detail_warmup\":1}",
                 "'sample.intervals'",
             ),
         ] {

@@ -152,99 +152,91 @@ impl Allocator {
         cluster_loads: &[usize],
         subset_free: Option<&[usize]>,
     ) -> ClusterChoice {
-        let choice = self.choose_inner(d, src_subsets, cluster_loads);
+        let legal = placements(self.mode, self.clusters, src_subsets);
+        let choice = self.pick(d, legal, cluster_loads);
         let Some(free) = subset_free else {
             return choice;
         };
-        if free[choice.cluster.subset().index()] > 0 {
+        let free_at = |c: &ClusterChoice| free[self.mode.write_subset(c.cluster).index()];
+        if free_at(&choice) > 0 {
             return choice;
         }
-        // The chosen cluster's subset is empty: enumerate the µop's other
-        // legal placements and take one with registers, preferring the
-        // fullest free list.
-        let alternatives = Self::legal_placements(self.policy, src_subsets);
-        alternatives
-            .into_iter()
-            .filter(|c| free[c.cluster.subset().index()] > 0)
-            .max_by_key(|c| free[c.cluster.subset().index()])
+        // The chosen cluster's subset is empty: take another placement the
+        // policy may use that has registers, preferring the fullest free
+        // list.
+        let usable = match self.policy {
+            AllocPolicy::RandomCommutative | AllocPolicy::LoadBalance => legal,
+            _ => Placements {
+                commuted: Form::NONE,
+                ..legal
+            },
+        };
+        usable
+            .iter()
+            .filter(|c| free_at(c) > 0)
+            .max_by_key(free_at)
             .unwrap_or(choice)
     }
 
-    /// All (cluster, swapped) placements legal for a µop with the given
-    /// operand subsets under `policy`'s form freedom.
-    fn legal_placements(
-        policy: AllocPolicy,
-        src_subsets: [Option<Subset>; 2],
-    ) -> Vec<ClusterChoice> {
-        let commutative = matches!(
-            policy,
-            AllocPolicy::RandomCommutative | AllocPolicy::LoadBalance
-        );
-        let mut out = Vec::new();
-        match (src_subsets[0], src_subsets[1]) {
-            (Some(a), Some(b)) => {
-                out.push(ClusterChoice {
-                    cluster: ClusterId::from_bits(a.f(), b.s()),
-                    swapped: false,
-                });
-                if commutative {
-                    out.push(ClusterChoice {
-                        cluster: ClusterId::from_bits(b.f(), a.s()),
-                        swapped: true,
-                    });
-                }
-            }
-            (Some(x), None) | (None, Some(x)) => {
-                for s in 0..2u8 {
-                    out.push(ClusterChoice {
-                        cluster: ClusterId::from_bits(x.f(), s),
-                        swapped: false,
-                    });
-                }
-                if commutative {
-                    for f in 0..2u8 {
-                        out.push(ClusterChoice {
-                            cluster: ClusterId::from_bits(f, x.s()),
-                            swapped: true,
-                        });
-                    }
-                }
-            }
-            (None, None) => {
-                for c in 0..4u8 {
-                    out.push(ClusterChoice {
-                        cluster: ClusterId(c),
-                        swapped: false,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    fn choose_inner(
-        &mut self,
-        d: &DynInst,
-        src_subsets: [Option<Subset>; 2],
-        cluster_loads: &[usize],
-    ) -> ClusterChoice {
-        if self.policy == AllocPolicy::ByKind {
-            return ClusterChoice {
+    /// The policy's pick among a µop's legal placements. The random
+    /// policies draw once per decision they make, in a fixed order, which
+    /// is what lets the sampled path replay them.
+    fn pick(&mut self, d: &DynInst, legal: Placements, loads: &[usize]) -> ClusterChoice {
+        let Placements { direct, commuted } = legal;
+        // Only a dyadic µop has a single commuted placement.
+        let dyadic = commuted.count == 1;
+        match self.policy {
+            AllocPolicy::ByKind => ClusterChoice {
                 cluster: Self::pool_for(d.class),
                 swapped: false,
-            };
-        }
-        if self.mode != RegFileMode::Wsrs {
-            return self.choose_unconstrained(cluster_loads);
-        }
-        match (src_subsets[0], src_subsets[1]) {
-            (Some(a), Some(b)) => self.choose_dyadic(a, b, cluster_loads),
-            (Some(x), None) | (None, Some(x)) => self.choose_monadic(x, cluster_loads),
-            (None, None) => {
-                let _ = d;
-                self.choose_free(cluster_loads)
+            },
+            AllocPolicy::RoundRobin => {
+                let c = direct.nth(self.rr_next, false);
+                self.rr_next = (self.rr_next + 1) % self.clusters;
+                c
+            }
+            // `RM` never commutes, so a dyadic µop is fully constrained.
+            AllocPolicy::RandomMonadic if dyadic => direct.nth(0, false),
+            AllocPolicy::RandomMonadic => self.draw(direct, false),
+            // §5.2.1: the form is first randomly selected.
+            AllocPolicy::RandomCommutative if dyadic => {
+                if self.rng.random::<bool>() && commuted.first != direct.first {
+                    commuted.nth(0, true)
+                } else {
+                    direct.nth(0, false)
+                }
+            }
+            AllocPolicy::RandomCommutative if commuted.count == 0 => self.draw(direct, false),
+            // Random form (operand at the first or second entry), then the
+            // free coordinate at random.
+            AllocPolicy::RandomCommutative => {
+                if self.rng.random::<bool>() {
+                    self.draw(direct, false)
+                } else {
+                    self.draw(commuted, true)
+                }
+            }
+            // The least-loaded placement; ties go to the earliest.
+            AllocPolicy::LoadBalance => {
+                let load = |c: &ClusterChoice| loads[c.cluster.0 as usize];
+                let mut best = direct.nth(0, false);
+                for (form, swapped) in [(direct, false), (commuted, true)] {
+                    for k in 0..usize::from(form.count) {
+                        let c = form.nth(k, swapped);
+                        if load(&c) < load(&best) {
+                            best = c;
+                        }
+                    }
+                }
+                best
             }
         }
+    }
+
+    /// One uniform draw among `form`'s clusters: one RNG word (between
+    /// two clusters, its top bit, as `random::<bool>()` reads it).
+    fn draw(&mut self, form: Form, swapped: bool) -> ClusterChoice {
+        form.nth(self.rng.random_range(0..usize::from(form.count)), swapped)
     }
 
     /// Pool selection for the Figure 2b organization: P0 load/store,
@@ -258,129 +250,90 @@ impl Allocator {
             Branch => ClusterId(3),
         }
     }
+}
 
-    fn choose_unconstrained(&mut self, cluster_loads: &[usize]) -> ClusterChoice {
-        let cluster = match self.policy {
-            AllocPolicy::RoundRobin => {
-                let c = self.rr_next;
-                self.rr_next = (self.rr_next + 1) % self.clusters;
-                ClusterId(c as u8)
-            }
-            AllocPolicy::LoadBalance => Self::least_loaded(
-                (0..self.clusters).map(|c| ClusterId(c as u8)),
-                cluster_loads,
-            ),
-            _ => ClusterId(self.rng.random_range(0..self.clusters) as u8),
-        };
+/// The clusters where a µop can execute with its operands in one order:
+/// `count` clusters from `first`, `stride` apart, along the coordinates
+/// the operands leave free.
+#[derive(Clone, Copy, Debug)]
+struct Form {
+    first: u8,
+    stride: u8,
+    count: u8,
+}
+
+impl Form {
+    /// No cluster: the commuted form of a µop with no operand order.
+    const NONE: Form = Form {
+        first: 0,
+        stride: 0,
+        count: 0,
+    };
+
+    /// The form's `k`-th cluster.
+    fn nth(self, k: usize, swapped: bool) -> ClusterChoice {
         ClusterChoice {
-            cluster,
-            swapped: false,
+            cluster: ClusterId(self.first + self.stride * k as u8),
+            swapped,
         }
     }
+}
 
-    fn choose_dyadic(&mut self, a: Subset, b: Subset, loads: &[usize]) -> ClusterChoice {
-        let direct = ClusterId::from_bits(a.f(), b.s());
-        let inverted = ClusterId::from_bits(b.f(), a.s());
-        match self.policy {
-            AllocPolicy::RandomMonadic => ClusterChoice {
-                cluster: direct,
-                swapped: false,
+/// A µop's legal placements: the `direct` form reads the operands in
+/// program order, the `commuted` form reads them swapped. Inline and a
+/// few bytes, so choosing never allocates.
+#[derive(Clone, Copy, Debug)]
+struct Placements {
+    direct: Form,
+    commuted: Form,
+}
+
+impl Placements {
+    /// Every placement: the direct ones, then the commuted ones.
+    fn iter(self) -> impl Iterator<Item = ClusterChoice> {
+        let each =
+            |form: Form, swapped| (0..usize::from(form.count)).map(move |k| form.nth(k, swapped));
+        each(self.direct, false).chain(each(self.commuted, true))
+    }
+}
+
+/// Read specialization (§3), the one home of the read rule: where a µop
+/// whose operands sit in `src_subsets` can execute. On a WSRS file the
+/// executing cluster has the `f` coordinate of the first operand's subset
+/// and the `s` coordinate of the second's; the commuted form swaps the
+/// operands (§3.3), a monadic µop leaves one coordinate free and a noadic
+/// one both. Every cluster reads a conventional or write-specialized file,
+/// so there every cluster is a direct placement.
+fn placements(mode: RegFileMode, clusters: usize, src_subsets: [Option<Subset>; 2]) -> Placements {
+    // The cluster with coordinates (f, s) is the one writing that subset.
+    let at = |f, s| mode.home_cluster(Subset::from_bits(f, s)).0;
+    let one = |c| Form {
+        first: c,
+        stride: 0,
+        count: 1,
+    };
+    let two = |c0: u8, c1: u8| Form {
+        first: c0,
+        stride: c1 - c0,
+        count: 2,
+    };
+    match (mode, src_subsets) {
+        (RegFileMode::Wsrs, [Some(a), Some(b)]) => Placements {
+            direct: one(at(a.f(), b.s())),
+            commuted: one(at(b.f(), a.s())),
+        },
+        (RegFileMode::Wsrs, [Some(x), None] | [None, Some(x)]) => Placements {
+            direct: two(at(x.f(), 0), at(x.f(), 1)),
+            commuted: two(at(0, x.s()), at(1, x.s())),
+        },
+        _ => Placements {
+            direct: Form {
+                first: 0,
+                stride: 1,
+                count: clusters as u8,
             },
-            AllocPolicy::RandomCommutative => {
-                // §5.2.1: the form is first randomly selected.
-                if self.rng.random::<bool>() && inverted != direct {
-                    ClusterChoice {
-                        cluster: inverted,
-                        swapped: true,
-                    }
-                } else {
-                    ClusterChoice {
-                        cluster: direct,
-                        swapped: false,
-                    }
-                }
-            }
-            AllocPolicy::LoadBalance => {
-                if loads[inverted.0 as usize] < loads[direct.0 as usize] {
-                    ClusterChoice {
-                        cluster: inverted,
-                        swapped: true,
-                    }
-                } else {
-                    ClusterChoice {
-                        cluster: direct,
-                        swapped: false,
-                    }
-                }
-            }
-            AllocPolicy::RoundRobin | AllocPolicy::ByKind => {
-                unreachable!("rejected in Allocator::new")
-            }
-        }
-    }
-
-    fn choose_monadic(&mut self, x: Subset, loads: &[usize]) -> ClusterChoice {
-        match self.policy {
-            AllocPolicy::RandomMonadic => {
-                // Operand at the first entry: f is fixed, s is random.
-                let s = u8::from(self.rng.random::<bool>());
-                ClusterChoice {
-                    cluster: ClusterId::from_bits(x.f(), s),
-                    swapped: false,
-                }
-            }
-            AllocPolicy::RandomCommutative => {
-                // Random form: operand at the first or the second entry,
-                // then the free coordinate is random.
-                let (cluster, swapped) = if self.rng.random::<bool>() {
-                    let s = u8::from(self.rng.random::<bool>());
-                    (ClusterId::from_bits(x.f(), s), false)
-                } else {
-                    let f = u8::from(self.rng.random::<bool>());
-                    (ClusterId::from_bits(f, x.s()), true)
-                };
-                ClusterChoice { cluster, swapped }
-            }
-            AllocPolicy::LoadBalance => {
-                // All clusters reachable with either form: three distinct
-                // candidates (paper §3.3, "commutative clusters").
-                let candidates = [
-                    ClusterId::from_bits(x.f(), 0),
-                    ClusterId::from_bits(x.f(), 1),
-                    ClusterId::from_bits(0, x.s()),
-                    ClusterId::from_bits(1, x.s()),
-                ];
-                let best = Self::least_loaded(candidates.into_iter(), loads);
-                // Swapped iff the operand must sit at the second entry.
-                let swapped = best.f() != x.f();
-                ClusterChoice {
-                    cluster: best,
-                    swapped,
-                }
-            }
-            AllocPolicy::RoundRobin | AllocPolicy::ByKind => {
-                unreachable!("rejected in Allocator::new")
-            }
-        }
-    }
-
-    fn choose_free(&mut self, loads: &[usize]) -> ClusterChoice {
-        let cluster = match self.policy {
-            AllocPolicy::LoadBalance => {
-                Self::least_loaded((0..self.clusters).map(|c| ClusterId(c as u8)), loads)
-            }
-            _ => ClusterId(self.rng.random_range(0..self.clusters) as u8),
-        };
-        ClusterChoice {
-            cluster,
-            swapped: false,
-        }
-    }
-
-    fn least_loaded(candidates: impl Iterator<Item = ClusterId>, loads: &[usize]) -> ClusterId {
-        candidates
-            .min_by_key(|c| loads[c.0 as usize])
-            .expect("candidate list never empty")
+            commuted: Form::NONE,
+        },
     }
 }
 
@@ -428,7 +381,11 @@ mod tests {
         let mut seen = [false; 4];
         for _ in 0..64 {
             let c = a.choose(&dyn_inst(), [Some(Subset(2)), None], &loads);
-            assert_eq!(c.cluster.f(), 1, "f fixed by the operand's subset");
+            assert_eq!(
+                RegFileMode::Wsrs.write_subset(c.cluster).f(),
+                1,
+                "f fixed by the operand's subset"
+            );
             seen[c.cluster.0 as usize] = true;
         }
         assert!(seen[2] && seen[3], "both s choices exercised");
@@ -554,5 +511,106 @@ mod tests {
             seen[c.cluster.0 as usize] = true;
         }
         assert_eq!(seen, [true; 4]);
+    }
+
+    /// Every (policy, mode) pair [`Allocator::new`] accepts, driven over a
+    /// fixed synthetic stream: noadic µops, monadic µops with the operand
+    /// in either position, and dyadic µops over every subset pair, under
+    /// varied cluster loads. WSRS runs repeat the stream with a free-register
+    /// vector that empties the chosen subset (the engine hands one only to
+    /// a WSRS allocator). The pin is a hash of the `(cluster, swapped)`
+    /// sequence and the final policy-RNG state, so a rewrite of any
+    /// policy's choice, or of its draw count and order, fails here.
+    #[test]
+    fn every_allocation_decision_is_pinned() {
+        use wsrs_isa::{Fnv1a, Opcode};
+        let mut shapes: Vec<[Option<Subset>; 2]> = vec![[None, None]];
+        for x in 0..4 {
+            shapes.push([Some(Subset(x)), None]);
+            shapes.push([None, Some(Subset(x))]);
+        }
+        for a in 0..4 {
+            for b in 0..4 {
+                shapes.push([Some(Subset(a)), Some(Subset(b))]);
+            }
+        }
+        let ops = [
+            Opcode::Add,
+            Opcode::Lw,
+            Opcode::Fadd,
+            Opcode::Sw,
+            Opcode::Mul,
+            Opcode::Beq,
+        ];
+        // A small deterministic mixer for loads and free counts.
+        let mix = |i: u64, j: u64| {
+            let mut z = (i * 4 + j).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z ^= z >> 29;
+            z.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 58
+        };
+        let run = |policy: AllocPolicy, mode: RegFileMode, avoid: bool| {
+            let mut a = Allocator::new(policy, mode, 4, 0x5eed);
+            let mut h = Fnv1a::new();
+            for i in 0..600u64 {
+                let shape = shapes[i as usize % shapes.len()];
+                let d = DynInst::new(4 * i, ops[i as usize % ops.len()]);
+                let loads: Vec<usize> = (0..4).map(|c| mix(i, c) as usize % 6).collect();
+                let c = if avoid {
+                    // Empty the subset of the cluster the policy picks.
+                    let picked = a.clone().choose(&d, shape, &loads).cluster.0 as usize;
+                    let mut free: Vec<usize> = (0..4).map(|s| mix(i + 7, s) as usize % 4).collect();
+                    free[picked] = 0;
+                    a.choose_avoiding(&d, shape, &loads, Some(&free))
+                } else {
+                    a.choose(&d, shape, &loads)
+                };
+                h.write_u8(c.cluster.0);
+                h.write_u8(u8::from(c.swapped));
+            }
+            h.write_u64(a.rng_state());
+            h.finish()
+        };
+        use AllocPolicy::*;
+        use RegFileMode::*;
+        // Recorded before the read rule moved into `placements`.
+        let pins = [
+            (RoundRobin, Conventional, false, 0x8d4b_287f_5b3a_17e2),
+            (RoundRobin, WriteSpecialized, false, 0x8d4b_287f_5b3a_17e2),
+            (ByKind, Conventional, false, 0x9270_d7c1_bc24_51c2),
+            (ByKind, WriteSpecialized, false, 0x9270_d7c1_bc24_51c2),
+            (RandomMonadic, Conventional, false, 0x8b10_4d0e_5e2b_b861),
+            (
+                RandomMonadic,
+                WriteSpecialized,
+                false,
+                0x8b10_4d0e_5e2b_b861,
+            ),
+            (RandomMonadic, Wsrs, false, 0xdcf4_0ae0_c561_08d5),
+            (RandomMonadic, Wsrs, true, 0xdc66_4bd2_12a6_e4a5),
+            (
+                RandomCommutative,
+                Conventional,
+                false,
+                0x8b10_4d0e_5e2b_b861,
+            ),
+            (
+                RandomCommutative,
+                WriteSpecialized,
+                false,
+                0x8b10_4d0e_5e2b_b861,
+            ),
+            (RandomCommutative, Wsrs, false, 0x8bad_b3bb_3e54_e36c),
+            (RandomCommutative, Wsrs, true, 0x2f67_4565_8bb5_f578),
+            (LoadBalance, Conventional, false, 0x1fad_39bb_3b18_5047),
+            (LoadBalance, WriteSpecialized, false, 0x1fad_39bb_3b18_5047),
+            (LoadBalance, Wsrs, false, 0x8f9c_425d_8d21_8cdd),
+            (LoadBalance, Wsrs, true, 0xe824_a7a0_e9c0_c679),
+        ];
+        let moved: Vec<String> = pins
+            .iter()
+            .filter(|&&(p, m, avoid, want)| run(p, m, avoid) != want)
+            .map(|(p, m, avoid, _)| format!("{p} {m:?} avoid={avoid}"))
+            .collect();
+        assert!(moved.is_empty(), "allocation decisions moved: {moved:?}");
     }
 }

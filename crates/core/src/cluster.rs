@@ -6,40 +6,12 @@
 //! µops per cycle — the Alpha EV6-like cluster of §5.2.
 
 use wsrs_isa::{latency, OpClass};
-use wsrs_regfile::Subset;
 
-/// A cluster identifier. For the 4-cluster WSRS geometry, bit 1 is the
-/// top/bottom (`f`) coordinate and bit 0 the left/right (`s`) coordinate —
-/// cluster `Ci` writes register subset `Si` (paper Figure 3).
+/// A cluster identifier. For the 4-cluster WSRS geometry a cluster's
+/// `(f, s)` coordinates are those of the register subset it writes
+/// (paper Figure 3; see `RegFileMode::write_subset`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ClusterId(pub u8);
-
-impl ClusterId {
-    /// The register subset this cluster writes (register write
-    /// specialization: `Ci` → `Si`).
-    #[must_use]
-    pub fn subset(self) -> Subset {
-        Subset(self.0)
-    }
-
-    /// The `f` (top/bottom) coordinate.
-    #[must_use]
-    pub fn f(self) -> u8 {
-        (self.0 >> 1) & 1
-    }
-
-    /// The `s` (left/right) coordinate.
-    #[must_use]
-    pub fn s(self) -> u8 {
-        self.0 & 1
-    }
-
-    /// Builds the cluster from its `(f, s)` coordinates.
-    #[must_use]
-    pub fn from_bits(f: u8, s: u8) -> Self {
-        ClusterId(((f & 1) << 1) | (s & 1))
-    }
-}
 
 impl std::fmt::Display for ClusterId {
     fn fmt(&self, fm: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -190,29 +162,6 @@ impl ClusterState {
         self.issued_this_cycle < self.res.issue_width
     }
 
-    /// Whether this domain has any unit capable of executing `class`
-    /// (pooled organizations are asymmetric).
-    #[must_use]
-    pub fn can_execute(&self, class: OpClass) -> bool {
-        match FuKind::for_class(class) {
-            FuKind::Alu => {
-                if class == OpClass::IntMulDiv {
-                    self.res.muldivs > 0
-                } else {
-                    self.res.alus > 0
-                }
-            }
-            FuKind::LdSt => self.res.ldsts > 0,
-            FuKind::Fp => {
-                if class == OpClass::FpDivSqrt {
-                    self.res.fpdivs > 0
-                } else {
-                    self.res.fps > 0
-                }
-            }
-        }
-    }
-
     /// Reserves an unpipelined structure from `busy` if one is free.
     fn reserve_unpipelined(busy: &mut [u64], cycle: u64, occupy: u64) -> bool {
         if let Some(slot) = busy.iter_mut().find(|b| cycle >= **b) {
@@ -295,16 +244,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cluster_bits_match_figure3() {
-        // C1 = (f=0, s=1): top pair, right column.
-        let c1 = ClusterId(1);
-        assert_eq!(c1.f(), 0);
-        assert_eq!(c1.s(), 1);
-        assert_eq!(ClusterId::from_bits(1, 0), ClusterId(2));
-        assert_eq!(ClusterId(3).subset(), Subset(3));
-    }
-
-    #[test]
     fn issue_width_limits_to_two() {
         let mut c = ClusterState::new(2);
         c.new_cycle();
@@ -355,24 +294,6 @@ mod tests {
             assert!(c.try_issue(OpClass::IntAlu, 0));
         }
         assert!(!c.try_issue(OpClass::IntAlu, 0), "8-way exhausted");
-    }
-
-    #[test]
-    fn asymmetric_pool_rejects_wrong_classes() {
-        // A load/store pool (Figure 2b): no ALUs, no FP.
-        let pool = ClusterState::with_resources(Resources {
-            issue_width: 4,
-            alus: 0,
-            ldsts: 4,
-            fps: 0,
-            muldivs: 0,
-            fpdivs: 0,
-        });
-        assert!(pool.can_execute(OpClass::Load));
-        assert!(pool.can_execute(OpClass::Store));
-        assert!(!pool.can_execute(OpClass::IntAlu));
-        assert!(!pool.can_execute(OpClass::FpAdd));
-        assert!(!pool.can_execute(OpClass::IntMulDiv));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Simulator configuration and the paper's named configurations.
 
 use crate::alloc::AllocPolicy;
-use crate::cluster::Resources;
+use crate::cluster::{ClusterId, Resources};
 use wsrs_frontend::PredictorKind;
+use wsrs_isa::RegClass;
 use wsrs_mem::HierarchyConfig;
-use wsrs_regfile::{RenameStrategy, RenamerConfig};
+use wsrs_regfile::{RenameStrategy, RenamerConfig, Subset};
 
 /// How the physical register file is organized.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -17,6 +18,30 @@ pub enum RegFileMode {
     /// Write + Read specialization (§3): writes as above, and the executing
     /// cluster is dictated by the operand subsets.
     Wsrs,
+}
+
+impl RegFileMode {
+    /// Write specialization (§2): the register subset cluster `c` writes —
+    /// `S0` on a conventional file, `Sc` otherwise. The one home of the
+    /// write rule.
+    #[must_use]
+    pub fn write_subset(self, c: ClusterId) -> Subset {
+        match self {
+            RegFileMode::Conventional => Subset(0),
+            RegFileMode::WriteSpecialized | RegFileMode::Wsrs => Subset(c.0),
+        }
+    }
+
+    /// The inverse of [`RegFileMode::write_subset`]: the cluster that holds
+    /// subset `s`'s architectural values (`C0` for a conventional file's
+    /// single subset).
+    #[must_use]
+    pub fn home_cluster(self, s: Subset) -> ClusterId {
+        match self {
+            RegFileMode::Conventional => ClusterId(0),
+            RegFileMode::WriteSpecialized | RegFileMode::Wsrs => ClusterId(s.0),
+        }
+    }
 }
 
 /// Fast-forwarding (bypass) reach between clusters (§4.3.1). The paper's
@@ -451,7 +476,9 @@ impl SimConfig {
             // Each subset must hold its share of architectural state plus
             // the one register reserved for the oldest waiting µop.
             assert!(
-                cap > 80usize.div_ceil(self.renamer().subsets),
+                cap > RegClass::Int
+                    .logical_count()
+                    .div_ceil(self.renamer().subsets),
                 "virtual-physical capacity too small for architectural state"
             );
         }
@@ -473,6 +500,23 @@ mod tests {
         cfg.window_per_cluster = 10;
         cfg.rob = 200;
         cfg.validate();
+    }
+
+    #[test]
+    fn write_rule_and_its_inverse() {
+        // Figure 3: C3 = (f=1, s=1) writes S3 under write specialization.
+        for mode in [RegFileMode::WriteSpecialized, RegFileMode::Wsrs] {
+            assert_eq!(mode.write_subset(ClusterId(3)), Subset::from_bits(1, 1));
+            for c in 0..4 {
+                assert_eq!(
+                    mode.home_cluster(mode.write_subset(ClusterId(c))),
+                    ClusterId(c)
+                );
+            }
+        }
+        let conv = RegFileMode::Conventional;
+        assert_eq!(conv.write_subset(ClusterId(2)), Subset(0));
+        assert_eq!(conv.home_cluster(Subset(0)), ClusterId(0));
     }
 
     #[test]

@@ -5,15 +5,17 @@ use wsrs_mem::HierarchyStats;
 use wsrs_regfile::RenameStats;
 use wsrs_telemetry::CycleAttribution;
 
-/// The paper's workload-balance metric (§5.4): split the dynamic stream
-/// into groups of 128 µops; a group is *unbalanced* when any of the four
-/// clusters receives fewer than 24 or more than 40 of them. The
-/// *unbalancing degree* is the fraction of unbalanced groups.
 /// Most execution domains a tracked machine has (4 clusters in the paper;
 /// pooled organizations use fewer). Bounding it keeps the per-group
 /// counters inline in [`UnbalanceTracker`].
 const MAX_CLUSTERS: usize = 8;
 
+/// The paper's workload-balance metric (§5.4): split the dynamic stream
+/// into groups of 128 µops; a group is *unbalanced* when any of the four
+/// clusters receives fewer than 24 or more than 40 of them. The
+/// *unbalancing degree* ([`Report::unbalance_percent`]) is the fraction of
+/// unbalanced groups, which the engine computes from these counts net of
+/// warmup.
 #[derive(Clone, Debug)]
 pub struct UnbalanceTracker {
     group_size: u64,
@@ -81,16 +83,6 @@ impl UnbalanceTracker {
     #[must_use]
     pub fn unbalanced(&self) -> u64 {
         self.unbalanced
-    }
-
-    /// The unbalancing degree in percent (0 when no group completed).
-    #[must_use]
-    pub fn degree_percent(&self) -> f64 {
-        if self.groups == 0 {
-            0.0
-        } else {
-            100.0 * self.unbalanced as f64 / self.groups as f64
-        }
     }
 }
 
@@ -230,7 +222,7 @@ mod tests {
             t.record(i % 4);
         }
         assert_eq!(t.groups(), 10);
-        assert_eq!(t.degree_percent(), 0.0);
+        assert_eq!(t.unbalanced(), 0);
     }
 
     #[test]
@@ -241,7 +233,7 @@ mod tests {
             t.record(0);
         }
         assert_eq!(t.groups(), 2);
-        assert_eq!(t.degree_percent(), 100.0);
+        assert_eq!(t.unbalanced(), 2);
     }
 
     #[test]
@@ -261,7 +253,7 @@ mod tests {
             t.record(3);
         }
         assert_eq!(t.groups(), 1);
-        assert_eq!(t.degree_percent(), 0.0);
+        assert_eq!(t.unbalanced(), 0);
     }
 
     #[test]
@@ -280,7 +272,8 @@ mod tests {
         for _ in 0..24 {
             t.record(3);
         }
-        assert_eq!(t.degree_percent(), 100.0);
+        assert_eq!(t.groups(), 1);
+        assert_eq!(t.unbalanced(), 1);
     }
 
     #[test]
@@ -290,6 +283,6 @@ mod tests {
             t.record(0);
         }
         assert_eq!(t.groups(), 0);
-        assert_eq!(t.degree_percent(), 0.0);
+        assert_eq!(t.unbalanced(), 0);
     }
 }

@@ -65,6 +65,7 @@ use crate::alloc::Allocator;
 use crate::config::{RegFileMode, SimConfig};
 use crate::metrics::Report;
 use crate::sim::{predict_uop, Engine, PredictedIters, RunSpec, WarmStart};
+use crate::slots::class_index;
 
 /// The sampling plan: how many intervals, how long, and how much detailed
 /// warmup precedes each. Interval *placement* is a pure function of this
@@ -185,36 +186,24 @@ struct MapWarmer {
     alloc: Allocator,
     /// All-zero per-cluster occupancy handed to `choose`.
     zero_loads: Vec<usize>,
-    /// Logical → subset, integer class.
-    int: Vec<u8>,
-    /// Logical → subset, floating-point class.
-    fp: Vec<u8>,
+    /// Logical → subset, per class (integer first): the renamer's
+    /// placement.
+    map: [Vec<Subset>; 2],
 }
 
 impl MapWarmer {
-    /// The reset map (`i % subsets`) and a freshly seeded allocator,
-    /// matching `Renamer::new` and `Engine::new`.
+    /// The reset placement and a freshly seeded allocator, matching
+    /// `Engine::new` from reset.
     fn new(cfg: &SimConfig) -> MapWarmer {
-        let subsets = cfg.renamer().subsets;
-        let reset = |class: RegClass| {
-            (0..class.logical_count())
-                .map(|i| (i % subsets) as u8)
-                .collect()
-        };
         MapWarmer {
             alloc: Allocator::new(cfg.policy, cfg.mode, cfg.clusters, cfg.seed),
             zero_loads: vec![0; cfg.clusters],
-            int: reset(RegClass::Int),
-            fp: reset(RegClass::Fp),
+            map: cfg.renamer().reset_placement(),
         }
     }
 
     fn subset_of(&self, r: RegRef) -> Subset {
-        let map = match r.class() {
-            RegClass::Int => &self.int,
-            RegClass::Fp => &self.fp,
-        };
-        Subset(map[r.index() as usize])
+        self.map[class_index(r.class())][r.index() as usize]
     }
 
     /// Advances over one µop: replays the rename stage's placement choice
@@ -228,21 +217,18 @@ impl MapWarmer {
         ];
         let choice = self.alloc.choose(d, srcs, &self.zero_loads);
         if let Some(dst) = d.dst {
-            let map = match dst.class() {
-                RegClass::Int => &mut self.int,
-                RegClass::Fp => &mut self.fp,
-            };
-            map[dst.index() as usize] = choice.cluster.subset().0;
+            self.map[class_index(dst.class())][dst.index() as usize] =
+                RegFileMode::Wsrs.write_subset(choice.cluster);
         }
     }
 
     /// Encodes the warmer as a checkpoint section: policy-RNG state (8
     /// bytes LE) followed by the int and fp maps.
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.int.len() + self.fp.len());
+        let [int, fp] = &self.map;
+        let mut out = Vec::with_capacity(8 + int.len() + fp.len());
         out.extend_from_slice(&self.alloc.rng_state().to_le_bytes());
-        out.extend_from_slice(&self.int);
-        out.extend_from_slice(&self.fp);
+        out.extend(int.iter().chain(fp).map(|s| s.0));
         out
     }
 
@@ -265,14 +251,8 @@ impl MapWarmer {
         Some(MapWarmer {
             alloc,
             zero_loads: vec![0; cfg.clusters],
-            int: maps[..ni].to_vec(),
-            fp: maps[ni..].to_vec(),
+            map: [&maps[..ni], &maps[ni..]].map(|m| m.iter().map(|&b| Subset(b)).collect()),
         })
-    }
-
-    /// The current assignment, as subsets (integer, FP).
-    fn subsets(&self) -> [Vec<Subset>; 2] {
-        [&self.int, &self.fp].map(|map| map.iter().map(|&b| Subset(b)).collect())
     }
 }
 
@@ -369,18 +349,20 @@ struct Interval {
 /// start would overlap the previous interval's detailed region (possible
 /// only on tiny traces or very dense specs) are dropped; clamping keeps
 /// the plan monotone, so the fast-forward cursor only moves forward.
+/// Placed intervals start at distinct measured µops, so the plan is
+/// sized by the region, not by the spec.
 fn plan_intervals(spec: &SampleSpec, warmup: u64, measure: u64, n: u64) -> Vec<Interval> {
     let region_start = warmup.min(n);
     let region_len = measure.min(n - region_start);
     let k = u64::from(spec.intervals);
-    let mut plan = Vec::with_capacity(spec.intervals as usize);
+    let mut plan = Vec::with_capacity(k.min(region_len.max(1)) as usize);
     let mut prev_end = 0u64;
     for i in 0..k {
         let measure_start = region_start + i * region_len / k;
         if measure_start >= n || measure_start < prev_end {
             continue;
         }
-        let measure_end = (measure_start + spec.interval_uops).min(n);
+        let measure_end = measure_start.saturating_add(spec.interval_uops).min(n);
         let detail_start = measure_start
             .saturating_sub(spec.detail_warmup)
             .max(prev_end);
@@ -529,7 +511,7 @@ fn run_interval(
         decode_state(cfg, cp).expect("interval run handed an undecodable checkpoint");
     let warm = WarmStart {
         hierarchy,
-        arch_map: map.map(|m| (m.subsets(), m.alloc.rng_state())),
+        arch_map: map.map(|m| (m.map, m.alloc.rng_state())),
     };
     let spec = RunSpec {
         warmup: warm_uops,
@@ -838,6 +820,25 @@ mod tests {
         let short = plan_intervals(&s, 3000, 12_000, 4000);
         assert!(!short.is_empty());
         assert!(short.iter().all(|iv| iv.measure_end <= 4000));
+    }
+
+    #[test]
+    fn planner_clamps_an_interval_longer_than_the_trace() {
+        let s = SampleSpec {
+            intervals: 4,
+            interval_uops: u64::MAX,
+            detail_warmup: 10,
+        };
+        // The first interval runs to the trace's end; the rest would
+        // overlap it and are dropped.
+        assert_eq!(
+            plan_intervals(&s, 100, 1000, 1200),
+            vec![Interval {
+                detail_start: 90,
+                measure_start: 100,
+                measure_end: 1200,
+            }]
+        );
     }
 
     #[test]

@@ -123,10 +123,7 @@ impl Engine<'_> {
                 let mut dst = PackedReg::NONE;
                 let (mut old_phys, mut old_subset) = (0, 0);
                 if let Some(dreg) = d.dst {
-                    let subset = match self.cfg.mode {
-                        RegFileMode::Conventional => Subset(0),
-                        _ => choice.cluster.subset(),
-                    };
+                    let subset = self.cfg.mode.write_subset(choice.cluster);
                     if !self.renamer.can_alloc(dreg.class(), subset) {
                         self.stalls.rename += 1;
                         rename_blocked = true;
@@ -314,8 +311,8 @@ impl Engine<'_> {
                 vp.used[ci][stuck.index()] -= 1;
                 vp.used[ci][target.index()] += 1;
             }
-            let home = new.subset.0 % self.cfg.clusters as u8;
-            self.reg_info[ci][new.phys.0 as usize] = RegInfo::new(done_at, home, false);
+            let home = self.cfg.mode.home_cluster(new.subset);
+            self.reg_info[ci][new.phys.0 as usize] = RegInfo::new(done_at, home.0, false);
             moved += 1;
         }
         if moved > 0 {

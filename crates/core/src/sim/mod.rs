@@ -356,19 +356,20 @@ impl<'a> Engine<'a> {
             "hierarchy configuration mismatch"
         );
         let mut allocator = Allocator::new(cfg.policy, cfg.mode, cfg.clusters, cfg.seed);
-        let renamer = match &warm.arch_map {
-            None => Renamer::new(cfg.renamer()),
-            Some(([int, fp], rng_state)) => {
-                allocator.set_rng_state(*rng_state);
-                Renamer::with_arch_subsets(cfg.renamer(), int, fp)
+        let placement = match warm.arch_map {
+            None => cfg.renamer().reset_placement(),
+            Some((placement, rng_state)) => {
+                allocator.set_rng_state(rng_state);
+                placement
             }
         };
-        // Every architectural value is produced, in its subset's "home"
+        let renamer = Renamer::new(cfg.renamer(), &placement);
+        // Every architectural value is produced, in its subset's home
         // cluster.
         let regs = |class: RegClass, total: usize| {
             let mut v = vec![RegInfo::new(0, 0, false); total];
             for (_, m) in renamer.map_table(class).iter() {
-                v[m.phys.0 as usize].cluster = m.subset.0 % cfg.clusters as u8;
+                v[m.phys.0 as usize].cluster = cfg.mode.home_cluster(m.subset).0;
             }
             v
         };

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use wsrs_core::alloc::Allocator;
+use wsrs_core::cluster::ClusterId;
 use wsrs_core::{AllocPolicy, RegFileMode};
 use wsrs_isa::{DynInst, Opcode, Reg};
 use wsrs_regfile::Subset;
@@ -20,11 +21,17 @@ fn monadic() -> DynInst {
     d
 }
 
+/// The cluster's `(f, s)` coordinates: those of the subset it writes.
+fn coordinates(cluster: ClusterId) -> Subset {
+    RegFileMode::Wsrs.write_subset(cluster)
+}
+
 /// The read-specialization legality rule: on cluster C(f,s), the first
 /// operand must live in a subset with matching `f` and the second in one
 /// with matching `s` (after any swap the policy applied).
-fn legal(cluster_f: u8, cluster_s: u8, first: Option<Subset>, second: Option<Subset>) -> bool {
-    first.is_none_or(|x| x.f() == cluster_f) && second.is_none_or(|x| x.s() == cluster_s)
+fn legal(cluster: ClusterId, first: Option<Subset>, second: Option<Subset>) -> bool {
+    let at = coordinates(cluster);
+    first.is_none_or(|x| x.f() == at.f()) && second.is_none_or(|x| x.s() == at.s())
 }
 
 proptest! {
@@ -44,7 +51,7 @@ proptest! {
                 (Some(Subset(sa)), Some(Subset(sb)))
             };
             prop_assert!(
-                legal(c.cluster.f(), c.cluster.s(), first, second),
+                legal(c.cluster, first, second),
                 "{policy:?} chose {:?} (swapped={}) for S{sa},S{sb}",
                 c.cluster, c.swapped
             );
@@ -66,7 +73,7 @@ proptest! {
                 (Some(Subset(s)), None)
             };
             prop_assert!(
-                legal(c.cluster.f(), c.cluster.s(), first, second),
+                legal(c.cluster, first, second),
                 "{policy:?} chose {:?} (swapped={}) for S{s}",
                 c.cluster, c.swapped
             );
@@ -79,8 +86,8 @@ proptest! {
         let mut alloc = Allocator::new(AllocPolicy::RandomMonadic, RegFileMode::Wsrs, 4, seed);
         let c = alloc.choose(&dyadic(), [Some(Subset(sa)), Some(Subset(sb))], &[0; 4]);
         prop_assert!(!c.swapped);
-        prop_assert_eq!(c.cluster.f(), Subset(sa).f());
-        prop_assert_eq!(c.cluster.s(), Subset(sb).s());
+        prop_assert_eq!(coordinates(c.cluster).f(), Subset(sa).f());
+        prop_assert_eq!(coordinates(c.cluster).s(), Subset(sb).s());
     }
 
     /// Round-robin on a conventional machine touches all clusters evenly.

@@ -7,7 +7,7 @@
 //! machine these vectors drive cluster allocation; here they are derived
 //! views, and the derivation is exactly the property tested below.
 
-use crate::types::{Mapping, PhysReg, Subset};
+use crate::types::{Mapping, Subset};
 
 /// Map table for one register class.
 #[derive(Clone, Debug)]
@@ -71,23 +71,23 @@ impl MapTable {
     }
 }
 
-/// The default reset mapping: logical register `i` is placed in subset
-/// `i % subsets`, physical register `i` (physical indices 0..logical_count
-/// are reserved by the reset state; free lists start above).
-pub fn reset_mapping(subsets: usize) -> impl FnMut(usize) -> Mapping {
-    move |i| Mapping {
-        phys: PhysReg(i as u32),
-        subset: Subset((i % subsets) as u8),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::PhysReg;
+
+    /// A table whose logical register `i` sits in physical register `i` of
+    /// subset `subsets[i]`.
+    fn table(subsets: &[u8]) -> MapTable {
+        MapTable::new(subsets.len(), |i| Mapping {
+            phys: PhysReg(i as u32),
+            subset: Subset(subsets[i]),
+        })
+    }
 
     #[test]
     fn lookup_update_roundtrip() {
-        let mut t = MapTable::new(8, reset_mapping(4));
+        let mut t = table(&[0, 1, 2, 3, 0, 1, 2, 3]);
         let old = t.lookup(3);
         assert_eq!(old.subset, Subset(3));
         let new = Mapping {
@@ -101,16 +101,16 @@ mod tests {
 
     #[test]
     fn mapped_into_counts() {
-        let t = MapTable::new(80, reset_mapping(4));
-        assert_eq!(t.mapped_into(Subset(0)), 20);
-        assert_eq!(t.mapped_into(Subset(1)), 20);
-        assert_eq!(t.mapped_into(Subset(2)), 20);
-        assert_eq!(t.mapped_into(Subset(3)), 20);
+        let t = table(&[0, 0, 1, 3, 3, 3]);
+        assert_eq!(t.mapped_into(Subset(0)), 2);
+        assert_eq!(t.mapped_into(Subset(1)), 1);
+        assert_eq!(t.mapped_into(Subset(2)), 0);
+        assert_eq!(t.mapped_into(Subset(3)), 3);
     }
 
     #[test]
     fn conventional_single_subset() {
-        let t = MapTable::new(16, reset_mapping(1));
+        let t = table(&[0; 16]);
         assert_eq!(t.mapped_into(Subset(0)), 16);
     }
 }

@@ -81,6 +81,18 @@ impl RenamerConfig {
         Subset(s as u8)
     }
 
+    /// The reset placement, per class (integer first): logical register
+    /// `i` starts in subset `i % subsets`. The one home of the initial
+    /// register placement.
+    #[must_use]
+    pub fn reset_placement(&self) -> [Vec<Subset>; 2] {
+        [RegClass::Int, RegClass::Fp].map(|class| {
+            (0..class.logical_count())
+                .map(|i| Subset((i % self.subsets) as u8))
+                .collect()
+        })
+    }
+
     /// The paper's §2.3 static deadlock-freedom condition: every subset
     /// holds at least as many physical registers as the machine has
     /// logical registers of the class — **across all hardware threads**,
@@ -141,28 +153,46 @@ fn class_idx(class: RegClass) -> usize {
 }
 
 impl Renamer {
-    /// Builds the renamer in the reset state: logical register `i` of each
-    /// class maps to subset `i % subsets`; all remaining physical registers
-    /// populate the free lists.
+    /// Builds the renamer with logical register `i` of each class, on
+    /// every hardware thread, mapped into subset `placement[class][i]`
+    /// (integer class first): the reset placement
+    /// ([`RenamerConfig::reset_placement`]) or a warm one, such as the
+    /// sampled path's functionally warmed map. Each subset's physical
+    /// registers are handed out in logical order, thread by thread, and
+    /// the rest populate its free list. A placement that overflows a
+    /// subset spills, in logical order, to the next subset (cyclically)
+    /// with space, so any placement is accepted as long as the class's
+    /// file holds every thread's architectural registers.
     ///
     /// # Panics
     ///
-    /// Panics if any subset would hold fewer physical registers than the
-    /// architectural registers initially mapped into it.
+    /// Panics if a placement has the wrong length or names a nonexistent
+    /// subset, or a class's file is smaller than its architectural
+    /// registers across all threads.
     #[must_use]
-    pub fn new(config: RenamerConfig) -> Self {
+    pub fn new(config: RenamerConfig, placement: &[Vec<Subset>; 2]) -> Self {
         let threads = config.threads.max(1);
         let build = |class: RegClass| {
+            let want = &placement[class_idx(class)];
             let logical = class.logical_count();
             let per = config.per_subset(class);
             let subsets = config.subsets;
-            // Reset mapping: thread t, logical i -> subset i % subsets; slots
-            // within each subset are handed out sequentially across threads.
+            assert_eq!(want.len(), logical, "one subset per {class} logical");
+            assert!(
+                per * subsets >= threads * logical,
+                "{class} file too small for its architectural registers"
+            );
             let mut next_slot = vec![0usize; subsets];
             let maps: Vec<MapTable> = (0..threads)
                 .map(|_| {
                     MapTable::new(logical, |i| {
-                        let s = i % subsets;
+                        let mut s = want[i].index();
+                        assert!(s < subsets, "logical {i} placed in nonexistent subset");
+                        // Spill to the next subset with a free slot (capacity
+                        // is guaranteed in total by the assertion above).
+                        while next_slot[s] >= per {
+                            s = (s + 1) % subsets;
+                        }
                         let slot = next_slot[s];
                         next_slot[s] += 1;
                         Mapping {
@@ -174,13 +204,8 @@ impl Renamer {
                 .collect();
             let free = (0..subsets)
                 .map(|s| {
-                    let reserved = next_slot[s];
-                    assert!(
-                        per >= reserved,
-                        "subset {s} of {class} file too small: {per} regs for {reserved} architectural"
-                    );
                     FreeList::new(
-                        (reserved..per).map(|slot| PhysReg((s * per + slot) as u32)),
+                        (next_slot[s]..per).map(|slot| PhysReg((s * per + slot) as u32)),
                         config.recycle_delay(),
                     )
                 })
@@ -194,76 +219,6 @@ impl Renamer {
         Renamer {
             config,
             classes: [build(RegClass::Int), build(RegClass::Fp)],
-            stats: RenameStats::default(),
-            in_cycle: false,
-        }
-    }
-
-    /// Builds the renamer with a *warm* architectural subset assignment
-    /// instead of the reset `i % subsets` pattern: logical register `i` of
-    /// each class starts mapped into `int[i]` / `fp[i]`. This is the
-    /// sampled path's entry point — the assignment comes from a
-    /// functionally warmed rename map, re-establishing the slow-mixing
-    /// logical→subset distribution that a short detailed warmup cannot.
-    ///
-    /// Assignments that would overflow a subset's physical file spill, in
-    /// logical order, to the next subset (cyclically) with space, so any
-    /// distribution is accepted as long as the file fits the class's
-    /// architectural registers in total.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the renamer is multi-threaded, an assignment slice has
-    /// the wrong length or names a nonexistent subset, or a class's file
-    /// is smaller than its architectural register count.
-    #[must_use]
-    pub fn with_arch_subsets(config: RenamerConfig, int: &[Subset], fp: &[Subset]) -> Self {
-        assert_eq!(
-            config.threads, 1,
-            "warm subset assignment is single-thread only"
-        );
-        let build = |class: RegClass, want: &[Subset]| {
-            let logical = class.logical_count();
-            let per = config.per_subset(class);
-            let subsets = config.subsets;
-            assert_eq!(want.len(), logical, "one subset per {class} logical");
-            assert!(
-                per * subsets >= logical,
-                "{class} file too small for its architectural registers"
-            );
-            let mut next_slot = vec![0usize; subsets];
-            let map = MapTable::new(logical, |i| {
-                let mut s = want[i].index();
-                assert!(s < subsets, "logical {i} assigned to nonexistent subset");
-                // Spill to the next subset with a free slot (capacity is
-                // guaranteed in total by the assertion above).
-                while next_slot[s] >= per {
-                    s = (s + 1) % subsets;
-                }
-                let slot = next_slot[s];
-                next_slot[s] += 1;
-                Mapping {
-                    phys: PhysReg((s * per + slot) as u32),
-                    subset: Subset(s as u8),
-                }
-            });
-            let free = (0..subsets)
-                .map(|s| {
-                    FreeList::new(
-                        (next_slot[s]..per).map(|slot| PhysReg((s * per + slot) as u32)),
-                        config.recycle_delay(),
-                    )
-                })
-                .collect();
-            ClassRename {
-                maps: vec![map],
-                free,
-                staged: vec![Vec::new(); subsets],
-            }
-        };
-        Renamer {
-            config,
-            classes: [build(RegClass::Int, int), build(RegClass::Fp, fp)],
             stats: RenameStats::default(),
             in_cycle: false,
         }
@@ -455,9 +410,27 @@ mod tests {
         }
     }
 
+    /// A renamer in the reset placement.
+    fn reset(cfg: RenamerConfig) -> Renamer {
+        Renamer::new(cfg, &cfg.reset_placement())
+    }
+
+    #[test]
+    fn smt_threads_each_hold_the_reset_placement() {
+        let mut cfg = config(4, 512, 256, RenameStrategy::ExactCount);
+        cfg.threads = 2;
+        let r = reset(cfg);
+        for s in 0..4 {
+            assert_eq!(r.available(RegClass::Int, Subset(s)), 128 - 2 * 20);
+        }
+        let (t0, t1) = (r.map_source_for(0, int(5)), r.map_source_for(1, int(5)));
+        assert_eq!((t0.subset, t1.subset), (Subset(1), Subset(1)));
+        assert_ne!(t0.phys, t1.phys, "threads hold distinct registers");
+    }
+
     #[test]
     fn conventional_initial_state() {
-        let r = Renamer::new(config(1, 256, 128, RenameStrategy::ExactCount));
+        let r = reset(config(1, 256, 128, RenameStrategy::ExactCount));
         // 80 int logicals reserved, 176 free.
         assert_eq!(r.available(RegClass::Int, Subset(0)), 176);
         assert_eq!(r.available(RegClass::Fp, Subset(0)), 96);
@@ -466,7 +439,7 @@ mod tests {
 
     #[test]
     fn write_specialized_splits_evenly() {
-        let r = Renamer::new(config(4, 512, 256, RenameStrategy::ExactCount));
+        let r = reset(config(4, 512, 256, RenameStrategy::ExactCount));
         // 512/4 = 128 per subset; 80 int logicals spread 20 per subset.
         for s in 0..4 {
             assert_eq!(r.available(RegClass::Int, Subset(s)), 108);
@@ -486,7 +459,7 @@ mod tests {
 
     #[test]
     fn rename_then_commit_reclaims() {
-        let mut r = Renamer::new(config(4, 512, 256, RenameStrategy::ExactCount));
+        let mut r = reset(config(4, 512, 256, RenameStrategy::ExactCount));
         let before = r.available(RegClass::Int, Subset(1));
         r.begin_cycle(0, 8);
         let m = r.alloc(RegClass::Int, Subset(1)).unwrap();
@@ -505,7 +478,7 @@ mod tests {
     fn dependency_propagation_within_group() {
         // Two µops renamed the same cycle: the second reads the first's
         // freshly installed mapping.
-        let mut r = Renamer::new(config(1, 256, 128, RenameStrategy::ExactCount));
+        let mut r = reset(config(1, 256, 128, RenameStrategy::ExactCount));
         r.begin_cycle(0, 8);
         let m1 = r.alloc(RegClass::Int, Subset(0)).unwrap();
         r.rename_dest_for(0, int(3), m1);
@@ -519,7 +492,7 @@ mod tests {
 
     #[test]
     fn recycling_strategy_stages_and_recycles() {
-        let mut r = Renamer::new(config(4, 512, 256, RenameStrategy::Recycling));
+        let mut r = reset(config(4, 512, 256, RenameStrategy::Recycling));
         r.begin_cycle(0, 8);
         // 8 staged per subset per class; use only 1.
         let m = r.alloc(RegClass::Int, Subset(0)).unwrap();
@@ -540,7 +513,7 @@ mod tests {
     fn exhausted_subset_refuses() {
         let mut cfg = config(4, 512, 256, RenameStrategy::ExactCount);
         cfg.int_regs = 96; // 24 per subset, 20 architectural -> 4 free each
-        let mut r = Renamer::new(cfg);
+        let mut r = reset(cfg);
         r.begin_cycle(0, 8);
         for _ in 0..4 {
             assert!(r.can_alloc(RegClass::Int, Subset(2)));
@@ -562,10 +535,8 @@ mod tests {
         let logical = RegClass::logical_count(RegClass::Int);
         // Crowd every int logical into subset 2 (128 per subset holds all).
         let int = vec![Subset(2); logical];
-        let fp: Vec<Subset> = (0..RegClass::logical_count(RegClass::Fp))
-            .map(|i| Subset((i % 4) as u8))
-            .collect();
-        let r = Renamer::with_arch_subsets(cfg, &int, &fp);
+        let [_, fp] = cfg.reset_placement();
+        let r = Renamer::new(cfg, &[int, fp]);
         assert_eq!(r.map_table(RegClass::Int).mapped_into(Subset(2)), logical);
         assert_eq!(r.available(RegClass::Int, Subset(2)), 128 - logical);
         assert_eq!(r.available(RegClass::Int, Subset(0)), 128);
@@ -583,10 +554,8 @@ mod tests {
         cfg.int_regs = 96; // 24 per subset < 80 logicals: crowding must spill
         let logical = RegClass::logical_count(RegClass::Int);
         let int = vec![Subset(1); logical];
-        let fp: Vec<Subset> = (0..RegClass::logical_count(RegClass::Fp))
-            .map(|i| Subset((i % 4) as u8))
-            .collect();
-        let r = Renamer::with_arch_subsets(cfg, &int, &fp);
+        let [_, fp] = cfg.reset_placement();
+        let r = Renamer::new(cfg, &[int, fp]);
         let t = r.map_table(RegClass::Int);
         assert_eq!(t.mapped_into(Subset(1)), 24, "first-choice subset filled");
         assert_eq!(t.mapped_into(Subset(2)), 24, "overflow spills cyclically");
@@ -597,7 +566,7 @@ mod tests {
 
     #[test]
     fn force_remap_moves_between_subsets() {
-        let mut r = Renamer::new(config(4, 512, 256, RenameStrategy::ExactCount));
+        let mut r = reset(config(4, 512, 256, RenameStrategy::ExactCount));
         let before = r.map_source_for(0, int(7));
         let new = r
             .force_remap_for(0, RegClass::Int, 7, Subset(0), 10)

@@ -35,7 +35,7 @@ fn action_strategy() -> impl Strategy<Value = Action> {
 
 fn run_actions(strategy: RenameStrategy, actions: &[Action]) -> Result<(), TestCaseError> {
     let cfg = four_subsets(strategy);
-    let mut r = Renamer::new(cfg);
+    let mut r = Renamer::new(cfg, &cfg.reset_placement());
     let mut cycle = 0u64;
     // Previous mappings awaiting commit, oldest first.
     let mut pending: Vec<Mapping> = Vec::new();
@@ -96,7 +96,7 @@ proptest! {
     #[test]
     fn map_lookup_returns_latest(renames in prop::collection::vec((0u8..79, 0u8..4), 1..100)) {
         let cfg = four_subsets(RenameStrategy::ExactCount);
-        let mut r = Renamer::new(cfg);
+        let mut r = Renamer::new(cfg, &cfg.reset_placement());
         let mut latest: std::collections::HashMap<u8, Mapping> = Default::default();
         for (cycle, &(logical, subset)) in renames.iter().enumerate() {
             r.begin_cycle(cycle as u64, 8);

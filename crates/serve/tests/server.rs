@@ -262,6 +262,11 @@ fn bad_requests_leave_the_worker_pool_serving() {
              \"sample\":{\"intervals\":4,\"interval_uops\":750}}]}",
             "'sample.detail_warmup'",
         ),
+        (
+            "{\"measure\":1000,\"cells\":[{\"workload\":\"gzip\",\"config\":\"RR 256\",\
+             \"sample\":{\"intervals\":4294967295,\"interval_uops\":750,\"detail_warmup\":1}}]}",
+            "'sample.intervals'",
+        ),
     ] {
         let resp = client::post(&addr, "/v1/jobs", bad).unwrap();
         assert_eq!(resp.status, 400, "{bad}");
