@@ -7,38 +7,17 @@
 //! occupies a register only from issue to superseding-commit, so far fewer
 //! physical registers sustain the same 224-µop window.
 
-use wsrs_bench::{render_grid, run_grid_full, RunEnv};
-use wsrs_core::SimConfig;
-use wsrs_regfile::RenameStrategy;
-use wsrs_workloads::Workload;
+use wsrs_bench::{render_grid, run_grid_full, virtual_physical_experiment, RunEnv};
 
 fn main() {
     let env = RunEnv::from_env();
-    let subset = [
-        Workload::Gzip,
-        Workload::Crafty,
-        Workload::Wupwise,
-        Workload::Facerec,
-    ];
-
-    let base = || SimConfig::write_specialized_rr(512, RenameStrategy::ExactCount);
-    let vp = |cap: usize| {
-        let mut cfg = base();
-        cfg.set_virtual_physical(cap);
-        cfg
-    };
-
-    let caps = [36usize, 40, 48, 64, 96];
-    let vp_names: Vec<String> = caps.iter().map(|c| format!("VP {c}/sub")).collect();
-    let configs: Vec<(&str, SimConfig)> = std::iter::once(("WS 512", base()))
-        .chain(vp_names.iter().zip(caps).map(|(n, c)| (n.as_str(), vp(c))))
-        .collect();
+    let (_, configs, workloads) = virtual_physical_experiment();
     let names: Vec<&str> = configs.iter().map(|(n, _)| *n).collect();
 
     // Exact cells (no sampling spec), sharing one recorded trace per
     // workload through the store.
     let grid = run_grid_full(
-        &subset,
+        &workloads,
         &configs,
         env.params,
         env.threads,
@@ -47,7 +26,7 @@ fn main() {
         &|_, _, _, _| {},
     )
     .reports;
-    let rows: Vec<(String, Vec<f64>)> = subset
+    let rows: Vec<(String, Vec<f64>)> = workloads
         .iter()
         .zip(&grid)
         .map(|(w, reports)| {

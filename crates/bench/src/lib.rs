@@ -339,6 +339,37 @@ pub fn gate_experiments() -> Vec<Experiment> {
     ]
 }
 
+/// The §6 virtual-physical experiment (`--bin virtual_physical`): plain
+/// write specialization at 512 registers against VP files of 36 to 96
+/// physical registers per subset, on two integer and two FP kernels. Not
+/// gated; `skip_equivalence` holds its cells to the engine's oracles.
+#[must_use]
+pub fn virtual_physical_experiment() -> Experiment {
+    const CAPS: [(&str, usize); 5] = [
+        ("VP 36/sub", 36),
+        ("VP 40/sub", 40),
+        ("VP 48/sub", 48),
+        ("VP 64/sub", 64),
+        ("VP 96/sub", 96),
+    ];
+    let base = || SimConfig::write_specialized_rr(512, RenameStrategy::ExactCount);
+    let vp = CAPS.into_iter().map(|(name, cap)| {
+        let mut cfg = base();
+        cfg.set_virtual_physical(cap);
+        (name, cfg)
+    });
+    (
+        "virtual_physical",
+        std::iter::once(("WS 512", base())).chain(vp).collect(),
+        vec![
+            Workload::Gzip,
+            Workload::Crafty,
+            Workload::Wupwise,
+            Workload::Facerec,
+        ],
+    )
+}
+
 /// Name → configuration registry over every gated experiment plus the
 /// `workgen` grid columns — the namespace [`CellJob`] wire forms resolve
 /// against. First binding of a name wins (names are unique across the

@@ -1,9 +1,10 @@
 //! Event-horizon cycle skipping and event-driven issue are pure
-//! wall-clock optimizations: every cell of every gated experiment, at the
-//! full gate window, must report exactly what the cycle-by-cycle loop and
-//! the O(window) selection scan report.
+//! wall-clock optimizations: every cell of every gated experiment, and of
+//! the virtual-physical experiment, at the full gate window, must report
+//! exactly what the cycle-by-cycle loop and the O(window) selection scan
+//! report.
 //!
-//! Ignored by default because it simulates the whole gate three times;
+//! Ignored by default because it simulates every cell three times;
 //! run it in release with
 //!
 //! ```sh
@@ -14,16 +15,19 @@
 //! store, the same one `report gate` uses.
 
 use wsrs_bench::windows::gate_params;
-use wsrs_bench::{gate_experiments, RunEnv, TraceCache};
+use wsrs_bench::{gate_experiments, virtual_physical_experiment, RunEnv, TraceCache};
 use wsrs_core::{Reference, RunSpec, Simulator};
 
 #[test]
-#[ignore = "simulates every gate cell three times; run in release with --ignored"]
-fn skipping_and_event_issue_match_their_oracles_on_every_gate_cell() {
+#[ignore = "simulates every cell three times; run in release with --ignored"]
+fn skipping_and_event_issue_match_their_oracles_on_every_gate_and_vp_cell() {
     let params = gate_params();
     let cache = TraceCache::new(params).with_store(Some(RunEnv::from_env().store));
     let mut cells = 0;
-    for (experiment, configs, workloads) in gate_experiments() {
+    let experiments = gate_experiments()
+        .into_iter()
+        .chain([virtual_physical_experiment()]);
+    for (experiment, configs, workloads) in experiments {
         for w in workloads {
             let trace = cache.checkout(w);
             for (name, cfg) in &configs {

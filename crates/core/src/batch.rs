@@ -43,8 +43,9 @@ const STRIDE: u32 = 8192;
 
 /// Whether `configs` can share one lockstep batch: every lane
 /// single-threaded (SMT interleaves traces per-machine), no
-/// virtual-physical registers (VP stays on the scan scheduler), and one
-/// common predictor kind (the annotation is predictor state, run once).
+/// virtual-physical registers (the lockstep differential fuzz draws only
+/// VP-free families), and one common predictor kind (the annotation is
+/// predictor state, run once).
 #[must_use]
 pub fn lockstep_compatible(configs: &[SimConfig]) -> bool {
     let Some(first) = configs.first() else {

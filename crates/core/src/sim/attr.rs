@@ -88,7 +88,7 @@ impl Engine<'_> {
         if !self.mem_order_allows(0) {
             return SlotBucket::Memory; // memory-order serialization
         }
-        if self.vp.is_some() && !self.vp_can_alloc(self.rob.dst(0), None) {
+        if !self.vp_rank_allows(self.rob.dst(0), 0) {
             // Issue-time register allocation blocked (VP file full).
             return SlotBucket::RenameStall;
         }

@@ -21,9 +21,7 @@ impl Engine<'_> {
             }
             if slot.dst.is_some() {
                 let old = slot.old_mapping();
-                if let Some(vp) = self.vp.as_mut() {
-                    vp.used[slot.dst.class_index()][old.subset.index()] -= 1;
-                }
+                self.vp_release(slot.dst.class(), old.subset);
                 self.renamer.free(slot.dst.class(), old, self.cycle);
             }
             self.clusters[slot.cluster as usize].window_occupancy -= 1;

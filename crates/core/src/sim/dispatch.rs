@@ -151,6 +151,7 @@ impl Engine<'_> {
                 self.seq_next += 1;
                 budget -= 1;
 
+                self.vp_enqueue(dst, seq);
                 if d.is_load() || d.is_store() {
                     self.mem_order[tid].push_back(seq);
                     if d.is_store() {
@@ -307,10 +308,7 @@ impl Engine<'_> {
             else {
                 break;
             };
-            if let Some(vp) = self.vp.as_mut() {
-                vp.used[ci][stuck.index()] -= 1;
-                vp.used[ci][target.index()] += 1;
-            }
+            self.vp_move(ci, stuck, target);
             let home = self.cfg.mode.home_cluster(new.subset);
             self.reg_info[ci][new.phys.0 as usize] = RegInfo::new(done_at, home.0, false);
             moved += 1;

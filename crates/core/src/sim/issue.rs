@@ -1,5 +1,5 @@
 //! Issue: oldest-first select per cluster — event-driven (wheel wakeup
-//! and ready planes) or the O(window) scan it is checked against — and
+//! and ready planes), or the O(window) scan that is its test oracle — and
 //! execution latency, including the register cache's slow reads.
 
 use super::{tagged_addr, Engine, Redirect, Reference, IN_FLIGHT};
@@ -38,12 +38,10 @@ impl Engine<'_> {
         self.wheel.schedule(at.max(self.cycle + 1), seq);
     }
 
-    /// Whether this run uses the event-driven scheduler. Virtual-physical
-    /// configurations stay on the scan: VP subset reservations depend on
-    /// observing every older waiting µop each cycle, which the event
-    /// structures deliberately avoid.
+    /// Whether this run uses the event-driven scheduler: every run but
+    /// the [`Reference::Scan`] oracle.
     pub(super) fn event_scheduler(&self) -> bool {
-        self.vp.is_none() && self.reference != Some(Reference::Scan)
+        self.reference != Some(Reference::Scan)
     }
 
     pub(super) fn issue(&mut self) {
@@ -59,11 +57,12 @@ impl Engine<'_> {
         self.vp_watch();
     }
 
-    /// Issue-time bookkeeping shared by the event path and the legacy
-    /// scan: timestamps completion, marks the slot done, pops the µop off
-    /// its thread's memory order, queues the deferred writeback, and
-    /// schedules a mispredicted branch's fetch resume. Fetch reads the
-    /// redirect only next cycle, so it is written at once.
+    /// Issue-time bookkeeping shared by the event path and the scan
+    /// oracle: timestamps completion, marks the slot done, pops the µop
+    /// off its thread's memory order, claims its virtual-physical
+    /// register, queues the deferred writeback, and schedules a
+    /// mispredicted branch's fetch resume. Fetch reads the redirect only
+    /// next cycle, so it is written at once.
     fn complete_issue(&mut self, i: usize) {
         let (lat, forwarded) = self.exec_latency(i);
         self.store_forwards += u64::from(forwarded);
@@ -78,6 +77,7 @@ impl Engine<'_> {
             let popped = self.mem_order[tid].pop_front();
             debug_assert_eq!(popped, Some(self.rob.seq_at(i)), "memory order broken");
         }
+        self.vp_claim(i);
         let dst = self.rob.dst(i);
         if dst.is_some() {
             self.dest_updates.push((dst, done_cycle));
@@ -113,13 +113,21 @@ impl Engine<'_> {
     /// contention keeps its bit and is excluded for the rest of the cycle
     /// by the advancing `from` cursor, never re-examined.
     ///
-    /// Memory order never fails in select: a memory µop whose operands
-    /// arrive while an older memory µop of its thread is unissued is
-    /// parked ([`crate::slots::Rob::park`]) instead of woken, and gets its
-    /// bit when the older one issues. It is younger than the µop that just
-    /// issued, so the walk (past `from`) still reaches it this cycle:
-    /// consecutive memory µops issue together, in the cycle the scan
-    /// oracle issues them.
+    /// The issue gates never fail in select. A µop whose operands arrive
+    /// while a gate is shut is parked ([`crate::slots::Rob::park`])
+    /// instead of woken, and gets its bit when the last gate opens; each
+    /// opening tests the other gate too.
+    ///
+    /// * Memory order: an older memory µop of its thread is unissued. It
+    ///   opens when that one issues. The parked µop is younger, so the
+    ///   walk (past `from`) still reaches it this cycle: consecutive
+    ///   memory µops issue together, in the cycle the scan oracle issues
+    ///   them.
+    /// * Virtual-physical rank ([`super::vp`]): its subset has no
+    ///   register left for its rank. It opens at a commit or an
+    ///   anti-wedge move, never during select, because an issue inside
+    ///   the eligible prefix leaves every other µop's eligibility as it
+    ///   was.
     fn issue_event(&mut self) {
         self.due_buf.clear();
         self.wheel.drain_due(self.cycle, &mut self.due_buf);
@@ -127,7 +135,7 @@ impl Engine<'_> {
         for k in 0..self.due_buf.len() {
             let idx = (self.due_buf[k] - front_seq) as usize;
             debug_assert!(!self.rob.is_done(idx));
-            if self.mem_order_allows(idx) {
+            if self.mem_order_allows(idx) && self.vp_allows(idx) {
                 self.rob.set_ready(idx);
             } else {
                 self.rob.park(idx);
@@ -151,8 +159,8 @@ impl Engine<'_> {
             debug_assert!(self.srcs_ready(idx));
             let cluster = self.rob.cluster(idx) as usize;
             debug_assert!(
-                self.mem_order_allows(idx),
-                "a memory-order-gated µop was awake"
+                self.mem_order_allows(idx) && self.vp_allows(idx),
+                "a gated µop was awake"
             );
             if !self.clusters[cluster].try_issue(self.rob.class(idx), self.cycle) {
                 continue;
@@ -163,7 +171,7 @@ impl Engine<'_> {
                 // Unpark the thread's new memory-order front.
                 if let Some(&next) = self.mem_order[self.rob.thread(idx) as usize].front() {
                     let nidx = (next - front_seq) as usize;
-                    if self.rob.unpark(nidx) {
+                    if self.vp_allows(nidx) && self.rob.unpark(nidx) {
                         self.rob.set_ready(nidx);
                     }
                 }
@@ -200,31 +208,32 @@ impl Engine<'_> {
         self.dest_updates.clear();
     }
 
-    /// Legacy O(window) selection scan, retained for virtual-physical
-    /// configurations (and as the event scheduler's test oracle).
+    /// The O(window) selection scan: the event scheduler's test oracle
+    /// ([`Reference::Scan`]), never a production path. It walks the whole
+    /// window oldest-first every cycle and states the virtual-physical
+    /// rank rule on its own: a waiting µop that does not issue keeps one
+    /// register of its destination subset from every younger µop, so the
+    /// reservations counted so far are the next µop's rank.
     fn issue_scan(&mut self) {
-        // Virtual-physical reservations, accumulated oldest-first during
-        // the scan below: once a waiting µop passes without issuing, its
-        // destination subset keeps one slot reserved against all younger
-        // µops this cycle.
-        self.vp_reserved.iter_mut().for_each(|class| class.fill(0));
-
-        // Single in-order pass: per-cluster oldest-first selection.
+        let subsets = self.renamer.config().subsets;
+        let mut reserved = [vec![0; subsets], vec![0; subsets]];
         for i in 0..self.rob.len() {
             let cluster = self.rob.cluster(i) as usize;
+            let dst = self.rob.dst(i);
+            let vp_key = self.vp_key(dst);
+            let rank = vp_key.map_or(0, |(c, s)| reserved[c][s]);
             let issued = !self.rob.is_done(i)
                 && self.rob.dispatch_cycle(i) < self.cycle
                 && self.clusters[cluster].has_issue_slot()
                 && self.srcs_ready(i)
                 && self.mem_order_allows(i)
-                && self.vp_can_alloc(self.rob.dst(i), Some(&self.vp_reserved))
+                && self.vp_rank_allows(dst, rank)
                 && self.clusters[cluster].try_issue(self.rob.class(i), self.cycle);
-            if !issued {
-                self.vp_reserve_slot(i);
-                continue;
+            if issued {
+                self.complete_issue(i);
+            } else if let Some((c, s)) = vp_key.filter(|_| !self.rob.is_done(i)) {
+                reserved[c][s] += 1;
             }
-            self.complete_issue(i);
-            self.vp_claim(self.rob.dst(i));
         }
     }
 

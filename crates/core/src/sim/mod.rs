@@ -300,8 +300,7 @@ pub(crate) struct Engine<'a> {
     wheel: CalendarWheel,
     /// The reference path this run takes instead of the production engine
     /// ([`Reference::NoSkip`] never jumps the clock over provably dead
-    /// cycles; [`Reference::Scan`] selects with the O(window) scan even
-    /// without virtual-physical registers).
+    /// cycles; [`Reference::Scan`] selects with the O(window) scan).
     reference: Option<Reference>,
     /// Cycles the event-horizon fast path jumped over without simulating.
     /// Diagnostics only — deliberately not part of any [`Report`], which
@@ -324,9 +323,6 @@ pub(crate) struct Engine<'a> {
     /// this cycle (deferred writeback) and the wheel's drain staging.
     dest_updates: Vec<(PackedReg, u64)>,
     due_buf: Vec<u64>,
-    /// Scan-path scratch: VP reservations per class/subset, zeroed in
-    /// place at the top of each scan.
-    vp_reserved: [Vec<usize>; 2],
     // metrics
     retired: u64,
     branches: u64,
@@ -378,8 +374,7 @@ impl<'a> Engine<'a> {
             regs(RegClass::Int, rc.int_regs),
             regs(RegClass::Fp, rc.fp_regs),
         ];
-        let vp = VpState::initial(&renamer, cfg.vp_phys_per_subset);
-        let subsets = rc.subsets;
+        let vp = VpState::initial(&renamer, cfg.vp_phys_per_subset, cfg.rob);
         Engine {
             cfg,
             cycle: 0,
@@ -419,10 +414,9 @@ impl<'a> Engine<'a> {
             last_progress: (0, 0),
             fetch_buf_cap: 4 * cfg.fetch_width,
             occ_buf: Vec::with_capacity(cfg.clusters),
-            free_buf: Vec::with_capacity(subsets),
+            free_buf: Vec::with_capacity(rc.subsets),
             dest_updates: Vec::new(),
             due_buf: Vec::new(),
-            vp_reserved: [vec![0; subsets], vec![0; subsets]],
             retired: 0,
             branches: 0,
             mispredicts: 0,

@@ -16,10 +16,16 @@ impl Engine<'_> {
     ///
     /// * **issue** — no µop is awake (`ready_count == 0`), and the wheel
     ///   delivers nothing before the target (see
-    ///   [`crate::wheel::CalendarWheel::next_due_before`]). Parked memory µops
-    ///   are not awake and do not veto: none can issue before its thread's
-    ///   memory-order head, which is neither awake nor parked, so it waits
-    ///   on a producer's issue or on a wheel booking — either caps `t`;
+    ///   [`crate::wheel::CalendarWheel::next_due_before`]). Parked µops are
+    ///   not awake and do not veto. A memory-order-parked µop cannot issue
+    ///   before its thread's memory-order head, which waits on a producer's
+    ///   issue or a wheel booking (either caps `t`) or is itself
+    ///   VP-parked. A VP-parked µop waits for its subset to free a
+    ///   register: only a commit frees one (the commit cap below), or an
+    ///   anti-wedge move, which needs a VP-blocked head;
+    /// * **virtual-physical watch** — the ROB head is not VP-blocked:
+    ///   `vp_watch` counts those cycles one by one, so a blocked head
+    ///   vetoes;
     /// * **commit** — the head is not done, or completes no earlier than
     ///   the target (a done head with `done_cycle ≤ cycle + 1` vetoes);
     /// * **fetch** — every live thread is redirect-blocked (resume cycles
@@ -48,7 +54,7 @@ impl Engine<'_> {
             }
             _ => return None,
         }
-        if self.rob.ready_count() != 0 {
+        if self.rob.ready_count() != 0 || self.vp_head_blocked() {
             return None;
         }
         // Cheap caps first, the wheel last: every bound accumulated into

@@ -393,6 +393,14 @@ fn tiny_subsets_deadlock_is_detected() {
     assert!(r.cycles > 0);
 }
 
+/// Write specialization (round-robin, 512 registers) with `cap`
+/// virtual-physical registers per subset.
+fn vp_cfg(cap: usize) -> SimConfig {
+    let mut cfg = SimConfig::write_specialized_rr(512, RenameStrategy::ExactCount);
+    cfg.set_virtual_physical(cap);
+    cfg
+}
+
 #[test]
 fn virtual_physical_sustains_window_with_fewer_registers() {
     // [13] applied on top of WS: a VP file with 40 physical registers
@@ -420,12 +428,7 @@ fn virtual_physical_sustains_window_with_fewer_registers() {
         )),
         kernel(),
     );
-    let mut vp_cfg = perfect(SimConfig::write_specialized_rr(
-        512,
-        RenameStrategy::ExactCount,
-    ));
-    vp_cfg.set_virtual_physical(40);
-    let vp = run_cfg(vp_cfg, kernel());
+    let vp = run_cfg(perfect(vp_cfg(40)), kernel());
     assert_eq!(vp.uops, plain.uops);
     assert!(!vp.deadlocked);
     assert!(
@@ -440,11 +443,7 @@ fn virtual_physical_sustains_window_with_fewer_registers() {
 fn virtual_physical_reservation_prevents_wedge() {
     // Absurdly tight capacity (21/subset over 20 architectural): the
     // oldest-waiting reservation must still let everything retire.
-    let mut cfg = perfect(SimConfig::write_specialized_rr(
-        512,
-        RenameStrategy::ExactCount,
-    ));
-    cfg.set_virtual_physical(21);
+    let cfg = perfect(vp_cfg(21));
     let mut a = Assembler::new();
     let (i, n) = (Reg::new(1), Reg::new(2));
     a.li(i, 0);
@@ -851,6 +850,28 @@ fn event_scheduler_matches_scan_bit_for_bit() {
             format!("{scan:?}"),
             "schedulers diverge on config {ci}"
         );
+    }
+    // Virtual-physical registers over a slice of vpr: a roomy file, and
+    // one tight enough that the anti-wedge moves registers mid-run.
+    for cap in [40, 23] {
+        let run = |scan: bool| {
+            Simulator::new(vp_cfg(cap))
+                .execute(
+                    &reference_if(scan, Reference::Scan),
+                    [Workload::Vpr.trace().take(25_000)],
+                )
+                .report
+        };
+        let (event, scan) = (run(false), run(true));
+        assert_eq!(
+            format!("{event:?}"),
+            format!("{scan:?}"),
+            "schedulers diverge on VP {cap}"
+        );
+        assert!(!event.deadlocked, "VP {cap}");
+        if cap == 23 {
+            assert!(event.deadlock_recoveries > 0, "the anti-wedge must fire");
+        }
     }
 }
 

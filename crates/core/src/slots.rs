@@ -36,8 +36,9 @@ pub(crate) const F_DONE: u8 = 1 << 0;
 pub(crate) const F_LOAD: u8 = 1 << 1;
 pub(crate) const F_STORE: u8 = 1 << 2;
 pub(crate) const F_MISPREDICTED: u8 = 1 << 3;
-/// Operand-ready memory µop held out of the ready planes because an older
-/// memory µop of its thread has not issued yet (event scheduler only).
+/// Operand-ready µop held out of the ready planes by an issue gate (event
+/// scheduler only): an older memory µop of its thread has not issued yet,
+/// or its virtual-physical rank is past its subset's free registers.
 pub(crate) const F_PARKED: u8 = 1 << 4;
 
 /// Null link in the intrusive per-register waiter lists. A live link packs
@@ -151,10 +152,11 @@ pub(crate) struct Rob {
     /// software analogue of the paper's narrowed select. One plane of
     /// `ready_words` words per cluster; bit `p` of plane `c` is set while
     /// the µop in ring slot `p` (which steered to cluster `c`) is awake
-    /// and awaiting issue — for a memory µop, also next in its thread's
-    /// memory order (otherwise it waits [`F_PARKED`]). Physical positions are stable for a slot's
-    /// lifetime, so a set bit never has to move; age order is recovered
-    /// by scanning words from `head` around the ring.
+    /// and awaiting issue — past both issue gates, memory order and the
+    /// virtual-physical rank (otherwise it waits [`F_PARKED`]). Physical
+    /// positions are stable for a slot's lifetime, so a set bit never has
+    /// to move; age order is recovered by scanning words from `head`
+    /// around the ring.
     ready: Vec<u64>,
     ready_words: usize,
     planes: usize,
@@ -350,8 +352,9 @@ impl Rob {
         (link, self.pending_srcs[p])
     }
 
-    /// Marks slot `i` parked: operand-ready but memory-order-gated, so
-    /// kept out of the ready planes until [`Self::unpark`].
+    /// Marks slot `i` parked: operand-ready but gated (memory order or
+    /// virtual-physical rank), so kept out of the ready planes until
+    /// [`Self::unpark`].
     #[inline]
     pub(crate) fn park(&mut self, i: usize) {
         let p = self.at(i);
@@ -389,7 +392,16 @@ impl Rob {
         self.ready_count += 1;
     }
 
-    /// Clears slot `i`'s ready bit (on issue). The slot must be marked.
+    /// Whether slot `i` is awake (its ready bit is set).
+    #[inline]
+    pub(crate) fn is_ready(&self, i: usize) -> bool {
+        let p = self.at(i);
+        let w = self.cluster[p] as usize * self.ready_words + (p >> 6);
+        self.ready[w] & 1u64 << (p & 63) != 0
+    }
+
+    /// Clears slot `i`'s ready bit (on issue, or when a gate closes). The
+    /// slot must be marked.
     #[inline]
     pub(crate) fn clear_ready(&mut self, i: usize) {
         let p = self.at(i);

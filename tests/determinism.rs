@@ -186,10 +186,11 @@ fn round_robin_is_seed_independent() {
 }
 
 /// Engine paths the gate grid never runs — SMT with §2.3 deadlock
-/// recovery, the virtual-physical anti-wedge, exhaustion avoidance, the
-/// recycling rename strategy, the register cache and pairwise
-/// fast-forwarding — pinned to exact counts on short fixed windows, so a
-/// restructuring of the engine cannot change them unnoticed. Each row is
+/// recovery, the virtual-physical anti-wedge and the deadlock when it can
+/// move nothing, exhaustion avoidance, the recycling rename strategy, the
+/// register cache and pairwise fast-forwarding — pinned to exact counts
+/// on short fixed windows, so a restructuring of the engine cannot change
+/// them unnoticed. Each row is
 /// `(cycles, uops, deadlock_recoveries, deadlocked, alloc_refusals,
 /// stalls.frontend, stalls.rename, stalls.window)`.
 #[test]
@@ -285,6 +286,32 @@ fn engine_paths_off_the_gate_grid_are_pinned() {
         "reg_cache"
     );
     assert_eq!(pair, (5692, 20000, 0, false, 0, 5768, 0, 4456), "pair");
+
+    // VP files too tight for the anti-wedge: a recovery that can move
+    // nothing ends the run deadlocked instead of panicking.
+    let ws = SimConfig::write_specialized_rr(512, RenameStrategy::ExactCount);
+    let rm = SimConfig::wsrs(512, AllocPolicy::RandomMonadic, RenameStrategy::ExactCount);
+    let rc = SimConfig::wsrs(
+        512,
+        AllocPolicy::RandomCommutative,
+        RenameStrategy::ExactCount,
+    );
+    let wedges = [
+        ("WS", ws, 21, Workload::Gcc),
+        ("RM", rm, 22, Workload::Gcc),
+        ("RM", rm, 24, Workload::Vpr),
+        ("RC", rc, 26, Workload::Vpr),
+    ];
+    let pinned = [
+        (67, 4, 0, true, 0, 528, 0, 0),
+        (12017, 15484, 7, true, 0, 1376, 0, 15591),
+        (12711, 15666, 14, true, 0, 7536, 0, 14859),
+        (14542, 16403, 16, true, 0, 13008, 0, 15240),
+    ];
+    for ((name, mut cfg, cap, w), want) in wedges.into_iter().zip(pinned) {
+        cfg.set_virtual_physical(cap);
+        assert_eq!(measured(cfg, w), want, "{name} VP {cap} on {w:?}");
+    }
 }
 
 /// The sampled path, pinned: two cold-store cells on a short window, one

@@ -1,7 +1,8 @@
 //! Differential property tests for the engine's two restructurings:
 //!
 //! * **Event scheduler + cycle skipping**: random (workload-slice ×
-//!   config × policy) triples must produce a `Report` identical to the
+//!   config × policy) triples, virtual-physical machines among them,
+//!   must produce a `Report` identical to the
 //!   retained O(window) ROB-scan oracle, both with event-horizon cycle
 //!   skipping on (the default) and pinned to the cycle-by-cycle loop.
 //!   The event engine (calendar wheel + bitset wakeup/select + skipping)
@@ -25,9 +26,8 @@ use wsrs::isa::DynInst;
 use wsrs::regfile::RenameStrategy;
 use wsrs::workloads::Workload;
 
-/// The machine classes the event scheduler serves (virtual-physical
-/// configurations stay on the scan by construction, so they are not
-/// interesting here).
+/// The machine classes both properties draw from: no virtual-physical
+/// registers, so every member is lockstep-compatible.
 fn config_pool() -> Vec<(&'static str, SimConfig)> {
     vec![
         ("conv-rr-256", SimConfig::conventional_rr(256)),
@@ -59,6 +59,32 @@ fn config_pool() -> Vec<(&'static str, SimConfig)> {
     ]
 }
 
+/// Virtual-physical machines, for the scan-oracle property only: a
+/// roomy file, one tight enough that the anti-wedge moves registers, and
+/// a WSRS one tight enough to end some slices deadlocked.
+fn vp_pool() -> Vec<(&'static str, SimConfig)> {
+    let vp = |mut cfg: SimConfig, cap: usize| {
+        cfg.set_virtual_physical(cap);
+        cfg
+    };
+    let wsrr = || SimConfig::write_specialized_rr(512, RenameStrategy::ExactCount);
+    vec![
+        ("wsrr-512-vp-40", vp(wsrr(), 40)),
+        ("wsrr-512-vp-23", vp(wsrr(), 23)),
+        (
+            "wsrs-rc-512-vp-24",
+            vp(
+                SimConfig::wsrs(
+                    512,
+                    AllocPolicy::RandomCommutative,
+                    RenameStrategy::ExactCount,
+                ),
+                24,
+            ),
+        ),
+    ]
+}
+
 fn slice(w: Workload, len: usize) -> Vec<DynInst> {
     w.trace().take(len).collect()
 }
@@ -69,13 +95,15 @@ proptest! {
     #[test]
     fn event_engine_matches_scan_oracle(
         widx in 0usize..12,
-        cidx in 0usize..7,
+        cidx in 0usize..10,
         len in 1_000usize..8_000,
         warmup_frac in 0u64..4,
         telemetry in any::<bool>(),
     ) {
         let w = Workload::all()[widx];
-        let (name, mut cfg) = config_pool().swap_remove(cidx);
+        let mut pool = config_pool();
+        pool.extend(vp_pool());
+        let (name, mut cfg) = pool.swap_remove(cidx);
         cfg.telemetry = telemetry;
         let trace = slice(w, len);
         let warmup = warmup_frac * len as u64 / 8;
