@@ -451,13 +451,7 @@ impl TraceProvenance {
             }
         }
         self.sources.sort_by_key(|s| s.workload.name());
-        let (a, b) = (&mut self.counters, other.counters);
-        a.mem_hits += b.mem_hits;
-        a.disk_hits += b.disk_hits;
-        a.misses += b.misses;
-        a.evictions += b.evictions;
-        a.bytes_read += b.bytes_read;
-        a.bytes_written += b.bytes_written;
+        self.counters.absorb(&other.counters);
     }
 
     /// Whether every workload replayed from disk (a fully warm store).

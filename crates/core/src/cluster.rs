@@ -113,8 +113,6 @@ pub struct ClusterState {
     fpdiv_busy_until: [u64; MAX_UNPIPELINED],
     /// µops dispatched to this cluster and not yet committed.
     pub window_occupancy: usize,
-    /// Total µops ever dispatched here (for the unbalance metric).
-    pub dispatched: u64,
 }
 
 impl ClusterState {
@@ -144,7 +142,6 @@ impl ClusterState {
             muldiv_busy_until: [0; MAX_UNPIPELINED],
             fpdiv_busy_until: [0; MAX_UNPIPELINED],
             window_occupancy: 0,
-            dispatched: 0,
         }
     }
 

@@ -523,64 +523,6 @@ fn run_interval(
         .report
 }
 
-/// Sums the summable counters of the interval reports into one aggregate
-/// (`unbalance_percent` is µop-weighted; `attribution` is dropped).
-fn sum_reports(reports: &[Report]) -> Report {
-    let mut it = reports.iter();
-    let mut total = it.next().expect("at least one interval").clone();
-    total.attribution = None;
-    let mut unbalance_weighted = total.unbalance_percent * total.uops as f64;
-    for r in it {
-        total.cycles += r.cycles;
-        total.uops += r.uops;
-        total.branches += r.branches;
-        total.mispredicts += r.mispredicts;
-        for (a, b) in total.per_cluster.iter_mut().zip(&r.per_cluster) {
-            *a += b;
-        }
-        unbalance_weighted += r.unbalance_percent * r.uops as f64;
-        total.stalls.frontend += r.stalls.frontend;
-        total.stalls.rename += r.stalls.rename;
-        total.stalls.window += r.stalls.window;
-        for (a, b) in [
-            (&mut total.memory.l1, &r.memory.l1),
-            (&mut total.memory.l2, &r.memory.l2),
-        ] {
-            a.accesses += b.accesses;
-            a.misses += b.misses;
-            a.writebacks += b.writebacks;
-        }
-        total.memory.l1_port_stalls += r.memory.l1_port_stalls;
-        total.memory.l2_bus_busy_cycles += r.memory.l2_bus_busy_cycles;
-        total.rename.allocs += r.rename.allocs;
-        total.rename.frees += r.rename.frees;
-        total.rename.alloc_refusals += r.rename.alloc_refusals;
-        for (row_a, row_b) in total
-            .rename
-            .refusals_by_subset
-            .iter_mut()
-            .zip(&r.rename.refusals_by_subset)
-        {
-            for (a, b) in row_a.iter_mut().zip(row_b) {
-                *a += b;
-            }
-        }
-        total.rename.recycled_unused += r.rename.recycled_unused;
-        total.store_forwards += r.store_forwards;
-        total.deadlocked |= r.deadlocked;
-        total.deadlock_recoveries += r.deadlock_recoveries;
-        for (a, b) in total.per_thread_uops.iter_mut().zip(&r.per_thread_uops) {
-            *a += b;
-        }
-    }
-    total.unbalance_percent = if total.uops == 0 {
-        0.0
-    } else {
-        unbalance_weighted / total.uops as f64
-    };
-    total
-}
-
 /// Runs `cfg` over `uops` in sampled mode under `spec`, with `warmup` and
 /// `measure` naming the trace's window (interval placement covers the
 /// measured region). Checkpoints flow through `store`; pass
@@ -685,7 +627,7 @@ pub fn run_sampled<S: UopSource + ?Sized>(
         per_interval_ipcs: ipcs,
         cv,
         error_bound,
-        aggregate: sum_reports(&reports),
+        aggregate: Report::sum(&reports),
         ff_uops,
         checkpoints_loaded: loaded,
         checkpoints_saved: saved,

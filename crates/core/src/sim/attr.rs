@@ -17,7 +17,7 @@ impl Engine<'_> {
         } else {
             self.stall_bucket_at(self.cycle)
         };
-        let attr = self.attr.as_mut().expect("caller checked");
+        let attr = self.count.attr.as_mut().expect("caller checked");
         attr.charge_cycle(committed, bucket);
         if let (SlotBucket::RenameStall, Some((class, subset))) = (bucket, self.blocked_subset) {
             attr.note_rename_refusal(class_index(class), subset.index());

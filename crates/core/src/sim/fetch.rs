@@ -131,8 +131,8 @@ impl Engine<'_> {
                 return;
             };
             // Only conditional branches mispredict.
-            self.branches += u64::from(a.cond_branch);
-            self.mispredicts += u64::from(a.mispredicted);
+            self.count.branches += u64::from(a.cond_branch);
+            self.count.mispredicts += u64::from(a.mispredicted);
             self.fetch_bufs[tid].push_back(Fetched {
                 d: a.d,
                 fetch_cycle: self.cycle,

@@ -65,7 +65,7 @@ impl Engine<'_> {
     /// next cycle, so it is written at once.
     fn complete_issue(&mut self, i: usize) {
         let (lat, forwarded) = self.exec_latency(i);
-        self.store_forwards += u64::from(forwarded);
+        self.count.store_forwards += u64::from(forwarded);
         let done_cycle = self.cycle + u64::from(lat);
         self.rob.complete(i, done_cycle);
         if let Some(e) = self.timeline.get_mut(self.rob.seq_at(i) as usize) {

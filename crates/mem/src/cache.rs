@@ -73,6 +73,18 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Adds `other`'s counters to these.
+    pub fn absorb(&mut self, other: &CacheStats) {
+        let CacheStats {
+            accesses,
+            misses,
+            writebacks,
+        } = other;
+        self.accesses += accesses;
+        self.misses += misses;
+        self.writebacks += writebacks;
+    }
+
     /// Miss ratio, 0 if no accesses.
     #[must_use]
     pub fn miss_rate(&self) -> f64 {

@@ -69,6 +69,22 @@ pub struct HierarchyStats {
     pub l2_bus_busy_cycles: u64,
 }
 
+impl HierarchyStats {
+    /// Adds `other`'s counters to these.
+    pub fn absorb(&mut self, other: &HierarchyStats) {
+        let HierarchyStats {
+            l1,
+            l2,
+            l1_port_stalls,
+            l2_bus_busy_cycles,
+        } = other;
+        self.l1.absorb(l1);
+        self.l2.absorb(l2);
+        self.l1_port_stalls += l1_port_stalls;
+        self.l2_bus_busy_cycles += l2_bus_busy_cycles;
+    }
+}
+
 /// The two-level data-memory timing model.
 ///
 /// `load`/`store` return the total latency in cycles for an access issued at
