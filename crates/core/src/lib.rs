@@ -65,7 +65,9 @@ mod wheel;
 /// v2: cell lines no longer carry the `skip` provenance flag.
 /// v3: cell lines carry one configuration fingerprint,
 /// `config_content_hash`; the `Debug`-text `config_hash` is gone.
-pub const SIM_REVISION_TAG: &str = "wsrs-sim-v3";
+/// v4: the three stall counts cover the measured window, not the warmup
+/// too.
+pub const SIM_REVISION_TAG: &str = "wsrs-sim-v4";
 
 /// FNV-1a digest of [`SIM_REVISION_TAG`] — the simulator-revision
 /// component of content-addressed cell-result keys.
