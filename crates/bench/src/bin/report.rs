@@ -5,8 +5,12 @@
 //! cargo run --release -p wsrs-bench --bin report
 //!
 //! # compare a fresh run against the committed baselines; exit 1 on
-//! # IPC regression (>2%), conservation violation or determinism drift
+//! # IPC regression (>2%), a cell invariant broken (slot conservation,
+//! # stalls beyond the measured window) or determinism drift
 //! cargo run --release -p wsrs-bench --bin report -- gate
+//!
+//! # check that the committed baselines parse and hold the cell invariants
+//! cargo run --release -p wsrs-bench --bin report -- check
 //!
 //! # submit a whole grid to a running wsrs-serve and stream the results
 //! cargo run --release -p wsrs-bench --bin report -- submit figure4 \
@@ -33,7 +37,7 @@ use wsrs_bench::manifest::{
 use wsrs_bench::windows::{gate_params, probe_params};
 use wsrs_bench::{figure4_configs, gate_experiments, run_grid, run_grid_full, RunEnv, RunParams};
 use wsrs_core::{SampleSpec, SimConfig};
-use wsrs_telemetry::{GateOutcome, Json, RunManifest, Tolerances};
+use wsrs_telemetry::{CellRecord, GateOutcome, Json, RunManifest, Tolerances};
 use wsrs_workloads::Workload;
 
 /// Default `wsrs-serve` address for `submit`/`watch`.
@@ -488,17 +492,24 @@ fn main() {
             std::process::exit(watch(&job, &addr));
         }
         Some("check") => {
-            // Parse-only sanity check of the committed baselines.
+            // The committed baselines parse, and every cell holds the
+            // invariants the gate demands of a fresh run.
             let mut ok = true;
             for (experiment, _, _) in gate_experiments() {
                 let path = baseline_path(experiment);
                 match load_baseline(experiment) {
-                    Some(m) => println!(
-                        "{}: schema {}, {} cells",
-                        path.display(),
-                        m.schema,
-                        m.cells.len()
-                    ),
+                    Some(m) => {
+                        println!(
+                            "{}: schema {}, {} cells",
+                            path.display(),
+                            m.schema,
+                            m.cells.len()
+                        );
+                        for f in m.cells.iter().flat_map(CellRecord::invariant_failures) {
+                            println!("FAIL: {f}");
+                            ok = false;
+                        }
+                    }
                     None => {
                         println!("{}: missing or malformed", path.display());
                         ok = false;
