@@ -473,12 +473,14 @@ impl SimConfig {
         assert!(self.rob >= self.fetch_width);
         assert!(self.threads >= 1);
         if let Some(cap) = self.vp_phys_per_subset {
-            // Each subset must hold its share of architectural state plus
-            // the one register reserved for the oldest waiting µop.
+            // Each subset must hold every thread's share of architectural
+            // state plus the one register reserved for the oldest waiting
+            // µop.
+            let share = RegClass::Int
+                .logical_count()
+                .div_ceil(self.renamer().subsets);
             assert!(
-                cap > RegClass::Int
-                    .logical_count()
-                    .div_ceil(self.renamer().subsets),
+                cap > self.threads * share,
                 "virtual-physical capacity too small for architectural state"
             );
         }
@@ -492,6 +494,22 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "virtual-physical capacity too small")]
+    fn validate_sizes_vp_capacity_for_every_thread() {
+        let mut cfg = SimConfig::wsrs(
+            512,
+            AllocPolicy::RandomCommutative,
+            RenameStrategy::ExactCount,
+        );
+        cfg.threads = 2;
+        cfg.set_virtual_physical(41);
+        cfg.validate();
+        // Two threads' architectural state takes 40 per subset.
+        cfg.set_virtual_physical(40);
+        cfg.validate();
+    }
 
     #[test]
     #[should_panic]

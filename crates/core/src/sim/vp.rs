@@ -52,7 +52,7 @@ pub(super) struct VpState {
 
 impl VpState {
     /// `None` without VP; otherwise every subset starts occupied by the
-    /// architectural registers `renamer` maps into it.
+    /// architectural registers `renamer` maps into it, every thread's.
     pub(super) fn initial(
         renamer: &Renamer,
         vp_phys_per_subset: Option<usize>,
@@ -60,9 +60,11 @@ impl VpState {
     ) -> Option<Self> {
         let subsets = renamer.config().subsets;
         let count_arch = |class: RegClass| {
-            (0..subsets)
-                .map(|s| renamer.map_table(class).mapped_into(Subset(s as u8)))
-                .collect()
+            let mut used = vec![0; subsets];
+            for m in renamer.arch_mappings(class) {
+                used[m.subset.index()] += 1;
+            }
+            used
         };
         let queues = || (0..subsets).map(|_| VecDeque::with_capacity(rob)).collect();
         vp_phys_per_subset.map(|capacity| VpState {
