@@ -7,7 +7,7 @@
 //! machine these vectors drive cluster allocation; here they are derived
 //! views, and the derivation is exactly the property tested below.
 
-use crate::types::{Mapping, Subset};
+use crate::types::Mapping;
 
 /// Map table for one register class.
 #[derive(Clone, Debug)]
@@ -57,14 +57,6 @@ impl MapTable {
         std::mem::replace(&mut self.map[logical], m)
     }
 
-    /// How many logical registers currently map into `subset` — the number
-    /// of physical registers of that subset holding architectural state
-    /// (used by the §2.3 deadlock analysis).
-    #[must_use]
-    pub fn mapped_into(&self, subset: Subset) -> usize {
-        self.map.iter().filter(|m| m.subset == subset).count()
-    }
-
     /// Iterates over all current mappings.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Mapping)> + '_ {
         self.map.iter().copied().enumerate()
@@ -74,7 +66,7 @@ impl MapTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::PhysReg;
+    use crate::types::{PhysReg, Subset};
 
     /// A table whose logical register `i` sits in physical register `i` of
     /// subset `subsets[i]`.
@@ -97,20 +89,5 @@ mod tests {
         let returned = t.update(3, new);
         assert_eq!(returned, old);
         assert_eq!(t.lookup(3), new);
-    }
-
-    #[test]
-    fn mapped_into_counts() {
-        let t = table(&[0, 0, 1, 3, 3, 3]);
-        assert_eq!(t.mapped_into(Subset(0)), 2);
-        assert_eq!(t.mapped_into(Subset(1)), 1);
-        assert_eq!(t.mapped_into(Subset(2)), 0);
-        assert_eq!(t.mapped_into(Subset(3)), 3);
-    }
-
-    #[test]
-    fn conventional_single_subset() {
-        let t = table(&[0; 16]);
-        assert_eq!(t.mapped_into(Subset(0)), 16);
     }
 }

@@ -40,11 +40,7 @@ fn run_actions(strategy: RenameStrategy, actions: &[Action]) -> Result<(), TestC
     // Previous mappings awaiting commit, oldest first.
     let mut pending: Vec<Mapping> = Vec::new();
     // Every physical register currently the target of a live mapping.
-    let mut live: HashSet<u32> = r
-        .map_table(RegClass::Int)
-        .iter()
-        .map(|(_, m)| m.phys.0)
-        .collect();
+    let mut live: HashSet<u32> = r.arch_mappings(RegClass::Int).map(|m| m.phys.0).collect();
 
     for action in actions {
         cycle += 1;
