@@ -20,11 +20,13 @@
 //! overrides it. `rev` prints the current per-workload emulator revision
 //! hashes (the value CI keys its trace cache on).
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use wsrs_bench::{trace_key, RunEnv, RunParams};
 use wsrs_core::sim_revision;
 use wsrs_trace::{
-    CheckpointKey, CheckpointRecord, TraceFile, TraceKey, TraceStore, CHECKPOINT_EXT,
+    walk, Artifact, CheckpointKey, CheckpointRecord, StoreKey, TraceError, TraceFile, TraceKey,
+    TraceStore,
 };
 use wsrs_workloads::Workload;
 
@@ -53,14 +55,93 @@ fn workload_by_name(name: &str) -> Option<Workload> {
     name.parse().ok()
 }
 
-/// Is `key` recordable by the current emulator? (Same workload name and
-/// revision hash; any window.) A `gen:` trace whose workload is not
-/// registered in this process counts as current: another caller may hold
-/// the profile, so `rm --stale` must not garbage-collect it.
-fn is_current(key: &TraceKey) -> bool {
-    match workload_by_name(&key.workload) {
-        Some(w) => w.trace_fingerprint() == key.rev,
-        None => key.workload.starts_with("gen:"),
+/// One kind of file in the trace store, as `verify`, `ls` and `rm` see
+/// it through its key.
+trait Kind {
+    /// Loads and fully checks the file stored under this key; what
+    /// `verify` prints after "ok".
+    fn verify(&self, store: &TraceStore) -> Result<String, TraceError>;
+    /// Whether this build can still hit a file under this key.
+    fn is_current(&self) -> bool;
+    /// The workload the file belongs to, for `rm <workload>`.
+    fn workload(&self) -> Option<&str> {
+        None
+    }
+}
+
+impl Kind for TraceKey {
+    fn verify(&self, store: &TraceStore) -> Result<String, TraceError> {
+        // Full decode of every block, not just the checksum: a verify
+        // pass should prove the file replays.
+        let file = store.open(self)?;
+        let uops = file.read_all()?;
+        Ok(format!("{} µops  {:016x}", uops.len(), file.checksum()))
+    }
+
+    /// Recordable by the current emulator: same workload name and
+    /// revision hash, any window. A `gen:` trace whose workload is not
+    /// registered in this process counts as current: another caller may
+    /// hold the profile, so `rm --stale` must not garbage-collect it.
+    fn is_current(&self) -> bool {
+        match workload_by_name(&self.workload) {
+            Some(w) => w.trace_fingerprint() == self.rev,
+            None => self.workload.starts_with("gen:"),
+        }
+    }
+
+    fn workload(&self) -> Option<&str> {
+        Some(&self.workload)
+    }
+}
+
+/// Warmup checkpoints are keyed on the timing-model revision (not the
+/// emulator revision traces use): any sim change strands them. A corrupt
+/// one is harmless at run time (the loader falls back to fast-forwarding)
+/// but worth surfacing in `verify`.
+impl Kind for CheckpointKey {
+    fn verify(&self, store: &TraceStore) -> Result<String, TraceError> {
+        let record = store.load_checkpoint(self)?;
+        Ok(format!("checkpoint  {} section(s)", record.sections.len()))
+    }
+
+    fn is_current(&self) -> bool {
+        self.sim == sim_revision()
+    }
+}
+
+/// One file of any kind in the store.
+struct StoreFile {
+    path: PathBuf,
+    name: String,
+    kind: &'static str,
+    /// `None` for a name no key maps to.
+    key: Option<Box<dyn Kind>>,
+}
+
+/// Every file of every kind in the store, traces first, each kind sorted
+/// by name; prints the error and returns `None` if the store cannot be
+/// listed.
+fn store_files(store: &TraceStore) -> Option<Vec<StoreFile>> {
+    fn of<K: StoreKey + Kind + 'static>(store: &TraceStore) -> std::io::Result<Vec<StoreFile>> {
+        Ok(walk::<K>(store.dir())?
+            .into_iter()
+            .map(|e| StoreFile {
+                path: e.path,
+                name: e.name,
+                kind: K::KIND,
+                key: e.key.map(|k| Box::new(k) as Box<dyn Kind>),
+            })
+            .collect())
+    }
+    match (of::<TraceKey>(store), of::<CheckpointKey>(store)) {
+        (Ok(mut files), Ok(checkpoints)) => {
+            files.extend(checkpoints);
+            Some(files)
+        }
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("{}: {e}", store.dir().display());
+            None
+        }
     }
 }
 
@@ -118,10 +199,10 @@ fn record(env: &RunEnv, args: &[String]) -> ExitCode {
 }
 
 /// Prints one warmup checkpoint's key, sections and sizes.
-fn inspect_checkpoint(path: &std::path::Path) -> ExitCode {
+fn inspect_checkpoint(path: &Path) -> ExitCode {
     let record = match std::fs::read(path)
-        .map_err(|e| e.to_string())
-        .and_then(|b| CheckpointRecord::from_bytes(&b).map_err(|e| e.to_string()))
+        .map_err(TraceError::from)
+        .and_then(CheckpointRecord::from_image)
     {
         Ok(r) => r,
         Err(e) => {
@@ -135,7 +216,7 @@ fn inspect_checkpoint(path: &std::path::Path) -> ExitCode {
     println!(
         "sim        {:016x}{}",
         k.sim,
-        if k.sim == sim_revision() {
+        if k.is_current() {
             ""
         } else {
             "  (stale revision)"
@@ -156,14 +237,14 @@ fn inspect(env: &RunEnv, target: Option<&String>) -> ExitCode {
         eprintln!("inspect: expected a workload name, a .wsrt path or a .wsck path");
         return ExitCode::from(2);
     };
-    if std::path::Path::new(target)
+    if Path::new(target)
         .extension()
-        .is_some_and(|e| e == CHECKPOINT_EXT)
+        .is_some_and(|e| e == CheckpointKey::EXT)
     {
-        return inspect_checkpoint(std::path::Path::new(target));
+        return inspect_checkpoint(Path::new(target));
     }
-    let path = if std::path::Path::new(target).is_file() {
-        std::path::PathBuf::from(target)
+    let path = if Path::new(target).is_file() {
+        PathBuf::from(target)
     } else if let Some(w) = workload_by_name(target) {
         // Exact current-window file if present, else any recorded window
         // of this workload.
@@ -171,16 +252,12 @@ fn inspect(env: &RunEnv, target: Option<&String>) -> ExitCode {
         if exact.is_file() {
             exact
         } else {
-            match env.store.entries().ok().and_then(|e| {
-                e.into_iter().find(|p| {
-                    p.file_name()
-                        .and_then(|n| TraceKey::parse_file_name(&n.to_string_lossy()))
-                        .is_some_and(|k| k.workload == w.name())
-                })
-            }) {
-                Some(p) => p,
-                None => exact, // fall through to the open error below
-            }
+            walk::<TraceKey>(env.store.dir())
+                .unwrap_or_default()
+                .into_iter()
+                .find(|e| e.key.as_ref().is_some_and(|k| k.workload == w.name()))
+                // Fall through to the open error below.
+                .map_or(exact, |e| e.path)
         }
     } else {
         eprintln!("'{target}' is neither a file nor a workload name");
@@ -214,64 +291,32 @@ fn inspect(env: &RunEnv, target: Option<&String>) -> ExitCode {
 }
 
 fn verify(store: &TraceStore) -> ExitCode {
-    let entries = match store.entries() {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("{}: {e}", store.dir().display());
-            return ExitCode::FAILURE;
-        }
+    let Some(files) = store_files(store) else {
+        return ExitCode::FAILURE;
     };
-    if entries.is_empty() {
-        println!("store empty ({})", store.dir().display());
-        return ExitCode::SUCCESS;
-    }
     let mut bad = 0usize;
-    for path in &entries {
-        let name = path.file_name().unwrap_or_default().to_string_lossy();
-        // Full decode of every block, not just the checksum: a verify
-        // pass should prove the file replays.
-        match TraceFile::open(path).and_then(|f| f.read_all().map(|u| (f, u))) {
-            Ok((f, uops)) => {
-                let stale = TraceKey::parse_file_name(&name).is_none_or(|k| !is_current(&k));
-                println!(
-                    "{name:<42} ok  {} µops  {:016x}{}",
-                    uops.len(),
-                    f.checksum(),
-                    if stale { "  (stale revision)" } else { "" }
-                );
-            }
+    for f in &files {
+        let name = &f.name;
+        let Some(key) = &f.key else {
+            println!("{name:<42} skipped: not a {} file name", f.kind);
+            continue;
+        };
+        match key.verify(store) {
+            Ok(summary) => println!(
+                "{name:<42} ok  {summary}{}",
+                if key.is_current() {
+                    ""
+                } else {
+                    "  (stale revision)"
+                }
+            ),
             Err(e) => {
                 println!("{name:<42} CORRUPT: {e}");
                 bad += 1;
             }
         }
     }
-    // Checkpoints verify too: a corrupt one is harmless at run time (the
-    // loader falls back to fast-forwarding) but worth surfacing here.
-    for path in store.checkpoint_entries().unwrap_or_default() {
-        let name = path
-            .file_name()
-            .unwrap_or_default()
-            .to_string_lossy()
-            .to_string();
-        match std::fs::read(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|b| CheckpointRecord::from_bytes(&b).map_err(|e| e.to_string()))
-        {
-            Ok(r) => {
-                let stale = r.key.sim != sim_revision();
-                println!(
-                    "{name:<42} ok  checkpoint  {} section(s){}",
-                    r.sections.len(),
-                    if stale { "  (stale revision)" } else { "" }
-                );
-            }
-            Err(e) => {
-                println!("{name:<42} CORRUPT: {e}");
-                bad += 1;
-            }
-        }
-    }
+    println!("{} file(s) in {}", files.len(), store.dir().display());
     if bad > 0 {
         eprintln!("{bad} corrupt file(s)");
         return ExitCode::FAILURE;
@@ -280,113 +325,57 @@ fn verify(store: &TraceStore) -> ExitCode {
 }
 
 fn ls(store: &TraceStore) -> ExitCode {
-    let (traces, checkpoints) = match (store.entries(), store.checkpoint_entries()) {
-        (Ok(t), Ok(c)) => (t, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{}: {e}", store.dir().display());
-            return ExitCode::FAILURE;
-        }
+    let Some(files) = store_files(store) else {
+        return ExitCode::FAILURE;
     };
-    if traces.is_empty() && checkpoints.is_empty() {
-        println!("store empty ({})", store.dir().display());
-        return ExitCode::SUCCESS;
-    }
     let mut total = 0u64;
-    for path in &traces {
-        let name = path.file_name().unwrap_or_default().to_string_lossy();
-        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+    for f in &files {
+        let bytes = std::fs::metadata(&f.path).map(|m| m.len()).unwrap_or(0);
         total += bytes;
-        let status = match TraceKey::parse_file_name(&name) {
-            Some(k) if is_current(&k) => "current",
+        let status = match &f.key {
+            Some(k) if k.is_current() => "current",
             Some(_) => "stale",
             None => "foreign",
         };
-        println!("{name:<42} {bytes:>12} bytes  {status}");
+        println!("{:<42} {bytes:>12} bytes  {} {status}", f.name, f.kind);
     }
-    // Warmup checkpoints are keyed on the timing-model revision (not the
-    // emulator revision traces use): any sim change strands them.
-    for path in &checkpoints {
-        let name = path.file_name().unwrap_or_default().to_string_lossy();
-        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        total += bytes;
-        let status = match CheckpointKey::parse_file_name(&name) {
-            Some(k) if k.sim == sim_revision() => "current",
-            Some(_) => "stale",
-            None => "foreign",
-        };
-        println!("{name:<42} {bytes:>12} bytes  checkpoint {status}");
-    }
+    let count = |kind: &str| files.iter().filter(|f| f.kind == kind).count();
     println!(
         "{} trace(s), {} checkpoint(s), {} bytes in {}",
-        traces.len(),
-        checkpoints.len(),
+        count(TraceKey::KIND),
+        count(CheckpointKey::KIND),
         total,
         store.dir().display()
     );
     ExitCode::SUCCESS
 }
 
+/// `--stale` and `--all` cover every kind; a workload name only matches
+/// its traces (checkpoints have no workload component).
 fn rm(store: &TraceStore, arg: Option<&String>) -> ExitCode {
-    let entries = match store.entries() {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("{}: {e}", store.dir().display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let keep = |name: &str| -> bool {
-        match arg.map(String::as_str) {
-            Some("--stale") => TraceKey::parse_file_name(name).is_some_and(|k| is_current(&k)),
-            Some("--all") => false,
-            Some(workload) => {
-                TraceKey::parse_file_name(name).is_none_or(|k| k.workload != workload)
-            }
-            None => true,
-        }
-    };
-    if arg.is_none() {
+    let Some(arg) = arg else {
         eprintln!("rm: expected --stale, --all or a workload name");
         return ExitCode::from(2);
-    }
-    // Checkpoints have no workload component; only the store-wide modes
-    // touch them. `--stale` keys on the timing-model revision.
-    let keep_checkpoint = |name: &str| -> bool {
-        match arg.map(String::as_str) {
-            Some("--stale") => {
-                CheckpointKey::parse_file_name(name).is_some_and(|k| k.sim == sim_revision())
-            }
-            Some("--all") => false,
-            _ => true,
-        }
     };
-    let checkpoints = store.checkpoint_entries().unwrap_or_default();
+    let Some(files) = store_files(store) else {
+        return ExitCode::FAILURE;
+    };
     let mut removed = 0usize;
-    let victims = entries
-        .iter()
-        .map(|p| (p, &keep as &dyn Fn(&str) -> bool))
-        .chain(
-            checkpoints
-                .iter()
-                .map(|p| (p, &keep_checkpoint as &dyn Fn(&str) -> bool)),
-        );
-    for (path, keep) in victims {
-        let name = path
-            .file_name()
-            .unwrap_or_default()
-            .to_string_lossy()
-            .to_string();
-        if !keep(&name) {
-            match std::fs::remove_file(path) {
-                Ok(()) => {
-                    println!("removed {name}");
-                    removed += 1;
-                }
-                Err(e) => {
-                    eprintln!("{name}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    for f in &files {
+        let doomed = match arg.as_str() {
+            "--all" => true,
+            "--stale" => !f.key.as_ref().is_some_and(|k| k.is_current()),
+            workload => f.key.as_ref().and_then(|k| k.workload()) == Some(workload),
+        };
+        if !doomed {
+            continue;
         }
+        if let Err(e) = std::fs::remove_file(&f.path) {
+            eprintln!("{}: {e}", f.name);
+            return ExitCode::FAILURE;
+        }
+        println!("removed {}", f.name);
+        removed += 1;
     }
     println!("{removed} file(s) removed");
     ExitCode::SUCCESS

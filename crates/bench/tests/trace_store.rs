@@ -14,7 +14,7 @@ use wsrs_bench::{
 };
 use wsrs_core::{SampleSpec, SampleStore, SimConfig};
 use wsrs_isa::fnv1a_64;
-use wsrs_trace::{TraceFile, TraceHeader, TraceStore};
+use wsrs_trace::{walk, TraceFile, TraceHeader, TraceKey, TraceStore};
 use wsrs_workloads::Workload;
 
 const PARAMS: RunParams = RunParams {
@@ -112,9 +112,9 @@ fn corrupt_trace_file_falls_back_to_emulation_and_is_repaired() {
     let cold = grid(1, Some(store.clone()));
 
     // Flip one payload byte of one recorded file.
-    let entries = store.entries().expect("store listing");
+    let entries = walk::<TraceKey>(store.dir()).expect("store listing");
     assert_eq!(entries.len(), 2);
-    let victim = &entries[0];
+    let victim = &entries[0].path;
     let mut bytes = std::fs::read(victim).expect("read trace");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;

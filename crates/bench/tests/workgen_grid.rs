@@ -9,7 +9,7 @@ use wsrs_bench::manifest::{grid_manifest, telemetry_on};
 use wsrs_bench::{run_grid_full, GridRun, RunParams, TraceOrigin};
 use wsrs_core::{AllocPolicy, SimConfig};
 use wsrs_regfile::RenameStrategy;
-use wsrs_trace::TraceStore;
+use wsrs_trace::{walk, TraceKey, TraceStore};
 use wsrs_workgen::presets::{adversarial_readspec, adversarial_writespec};
 use wsrs_workgen::register;
 use wsrs_workloads::Workload;
@@ -107,11 +107,8 @@ fn generated_workloads_flow_through_store_and_manifest() {
     assert_eq!(normalized(&cold), normalized(&warm));
 
     // The gen: traces landed under their own names in the store.
-    let listed = store.entries().expect("store listing");
-    let gen_files = listed
-        .iter()
-        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("gen:"))
-        .count();
+    let listed = walk::<TraceKey>(store.dir()).expect("store listing");
+    let gen_files = listed.iter().filter(|e| e.name.starts_with("gen:")).count();
     assert_eq!(gen_files, 2, "both generated traces must be on disk");
 
     let _ = std::fs::remove_dir_all(dir);

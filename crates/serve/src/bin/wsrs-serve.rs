@@ -4,7 +4,8 @@
 //! wsrs-serve [--addr HOST:PORT] [--workers N] [--memo-dir DIR] \
 //!            [--trace-dir DIR] [--paused]
 //!
-//! # prune memo entries from older timing-model revisions, then exit
+//! # prune memo entries from older timing-model revisions and entries
+//! # that fail verification, then exit
 //! wsrs-serve gc [--dry-run] [--memo-dir DIR]
 //! ```
 //!
@@ -15,35 +16,16 @@
 use wsrs_bench::RunEnv;
 use wsrs_serve::{install_signal_handlers, MemoStore, Server, ServerOptions};
 
-/// `wsrs-serve gc [--dry-run] [--memo-dir DIR]`: offline memo-store
-/// garbage collection. Entries keyed to a `sim_revision` other than the
-/// current binary's can never hit again (the lookup key always carries
-/// the current revision) — they only waste disk. Never returns.
-fn run_gc(mut dir: std::path::PathBuf, args: std::env::ArgsOs) -> ! {
-    let mut dry_run = false;
-    let mut args = args.map(|a| a.to_string_lossy().into_owned());
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--dry-run" => dry_run = true,
-            "--memo-dir" => {
-                dir = args
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("--memo-dir needs a value");
-                        std::process::exit(2);
-                    })
-                    .into();
-            }
-            other => {
-                eprintln!(
-                    "unknown argument '{other}'\nusage: wsrs-serve gc [--dry-run] [--memo-dir DIR]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let store = MemoStore::at(&dir);
-    match store.gc(wsrs_core::sim_revision(), dry_run) {
+const USAGE: &str = "usage: wsrs-serve [--addr HOST:PORT] [--workers N] [--memo-dir DIR] \
+                     [--trace-dir DIR] [--paused]\n       wsrs-serve gc [--dry-run] [--memo-dir DIR]";
+
+/// `wsrs-serve gc`: offline memo-store garbage collection. Entries keyed
+/// to a `sim_revision` other than the current binary's can never hit
+/// again (the lookup key always carries the current revision) and
+/// entries that fail verification would only miss; both just waste disk.
+/// Returns the exit code.
+fn run_gc(dir: &std::path::Path, dry_run: bool) -> i32 {
+    match MemoStore::at(dir).gc(wsrs_core::sim_revision(), dry_run) {
         Ok(r) => {
             let verb = if dry_run { "would remove" } else { "removed" };
             println!(
@@ -53,11 +35,11 @@ fn run_gc(mut dir: std::path::PathBuf, args: std::env::ArgsOs) -> ! {
                 r.stale,
                 r.malformed
             );
-            std::process::exit(0);
+            0
         }
         Err(e) => {
             eprintln!("gc {}: {e}", dir.display());
-            std::process::exit(1);
+            1
         }
     }
 }
@@ -65,13 +47,9 @@ fn run_gc(mut dir: std::path::PathBuf, args: std::env::ArgsOs) -> ! {
 fn main() {
     let mut opts = ServerOptions::new(&RunEnv::from_env());
     let mut addr = "127.0.0.1:8787".to_string();
-    let mut args = std::env::args().skip(1);
-    if std::env::args().nth(1).as_deref() == Some("gc") {
-        let mut os_args = std::env::args_os();
-        os_args.next(); // argv[0]
-        os_args.next(); // "gc"
-        run_gc(opts.memo_dir, os_args);
-    }
+    let mut args = std::env::args().skip(1).peekable();
+    let gc = args.next_if_eq("gc").is_some();
+    let mut dry_run = false;
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
             args.next().unwrap_or_else(|| {
@@ -79,9 +57,11 @@ fn main() {
                 std::process::exit(2);
             })
         };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr"),
-            "--workers" => {
+        match (gc, arg.as_str()) {
+            (_, "--memo-dir") => opts.memo_dir = value("--memo-dir").into(),
+            (true, "--dry-run") => dry_run = true,
+            (false, "--addr") => addr = value("--addr"),
+            (false, "--workers") => {
                 let v = value("--workers");
                 opts.workers = match v.trim().parse() {
                     Ok(n) if n > 0 => n,
@@ -91,17 +71,16 @@ fn main() {
                     }
                 };
             }
-            "--memo-dir" => opts.memo_dir = value("--memo-dir").into(),
-            "--trace-dir" => opts.trace_dir = value("--trace-dir").into(),
-            "--paused" => opts.paused = true,
-            other => {
-                eprintln!(
-                    "unknown argument '{other}'\nusage: wsrs-serve [--addr HOST:PORT] \
-                     [--workers N] [--memo-dir DIR] [--trace-dir DIR] [--paused]"
-                );
+            (false, "--trace-dir") => opts.trace_dir = value("--trace-dir").into(),
+            (false, "--paused") => opts.paused = true,
+            (_, other) => {
+                eprintln!("unknown argument '{other}'\n{USAGE}");
                 std::process::exit(2);
             }
         }
+    }
+    if gc {
+        std::process::exit(run_gc(&opts.memo_dir, dry_run));
     }
 
     install_signal_handlers();

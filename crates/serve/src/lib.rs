@@ -16,8 +16,10 @@
 //!   simulator revision, sampling-spec hash); resubmitting a grid
 //!   replays bytes from disk with zero simulations, and any semantic
 //!   change to the configuration, workload, emulator, timing model or
-//!   sampling plan misses by construction. `wsrs-serve gc` prunes
-//!   entries stranded by a timing-model revision bump.
+//!   sampling plan misses by construction. Entries are checksummed and
+//!   carry their key, so a corrupt or renamed one is a miss too.
+//!   `wsrs-serve gc` prunes entries stranded by a timing-model revision
+//!   bump and entries that fail verification.
 //! * **In-flight dedup.** Identical cells submitted concurrently attach
 //!   to the one running simulation instead of racing it.
 //!

@@ -5,77 +5,35 @@
 //! the content checksum of the trace file the cell consumed, the
 //! timing-model revision ([`wsrs_core::sim_revision`]), and the sampling
 //! spec hash ([`wsrs_core::SampleSpec::content_hash`] — `0` for an exact
-//! run). The memo store maps that quadruple to the cell's finished JSON
-//! line, so resubmitting a grid replays bytes from disk instead of
-//! re-simulating — and any change to a configuration, a workload kernel,
-//! the emulator, the timing model, or the sampling plan changes a key
-//! component and simply misses.
+//! run). The memo store maps that quadruple ([`MemoKey`]) to the cell's
+//! finished JSON line, so resubmitting a grid replays bytes from disk
+//! instead of re-simulating — and any change to a configuration, a
+//! workload kernel, the emulator, the timing model, or the sampling plan
+//! changes a key component and simply misses.
 //!
-//! Entries are one file per cell, named by the key, written atomically
-//! (temp file + rename) so a killed server never leaves a partial entry
-//! behind: a `.json` file either exists with complete contents or does
-//! not exist.
+//! Entries are one file per cell, named by the key and written atomically
+//! (temp file + rename), so a killed server never leaves a partial entry
+//! behind. Each entry is a checksummed [`MemoEntry`] frame carrying its
+//! own key, the frame traces and checkpoints share. An entry that fails
+//! the frame or the key check — truncated, bit-flipped, renamed, or
+//! written before entries were framed — is a miss: the cell re-simulates
+//! and the entry is overwritten.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The content-addressed identity of one finished cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct MemoKey {
-    /// `SimConfig::content_hash()` of the cell's configuration.
-    pub config: u64,
-    /// Content checksum of the trace file the cell consumed.
-    pub trace: u64,
-    /// `wsrs_core::sim_revision()` of the simulator that ran it.
-    pub sim: u64,
-    /// `SampleSpec::content_hash()` when the cell ran interval-sampled,
-    /// `0` for an exact run — sampled and exact results never collide.
-    pub spec: u64,
-}
-
-impl MemoKey {
-    /// The entry filename this key maps to. Always four components —
-    /// pre-sampling three-part entries simply stop parsing and miss
-    /// (they are garbage-collected by `wsrs-serve gc`).
-    #[must_use]
-    pub fn file_name(&self) -> String {
-        format!(
-            "{:016x}-{:016x}-{:016x}-{:016x}.json",
-            self.config, self.trace, self.sim, self.spec
-        )
-    }
-
-    /// Parses an entry filename back into its key; `None` for foreign
-    /// files (including pre-sampling three-part names).
-    #[must_use]
-    pub fn parse_file_name(name: &str) -> Option<MemoKey> {
-        let stem = name.strip_suffix(".json")?;
-        let mut parts = stem.split('-');
-        let config = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let trace = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let sim = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let spec = u64::from_str_radix(parts.next()?, 16).ok()?;
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(MemoKey {
-            config,
-            trace,
-            sim,
-            spec,
-        })
-    }
-}
+pub use wsrs_trace::MemoKey;
+use wsrs_trace::{load, walk, write_atomic, MemoEntry, StoreKey};
 
 /// What a [`MemoStore::gc`] pass found (and, unless dry-run, removed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Entries keyed to the current `sim_revision` — always kept.
+    /// Verified entries keyed to the current `sim_revision` — kept.
     pub kept: u64,
     /// Entries keyed to a different (older) timing-model revision.
     pub stale: u64,
-    /// `.json` files that do not parse as a [`MemoKey`] (legacy-format
-    /// or foreign names).
+    /// `.json` files whose name is not a [`MemoKey`]'s (legacy-format or
+    /// foreign names) or whose content fails the frame or key check.
     pub malformed: u64,
 }
 
@@ -110,57 +68,54 @@ impl MemoStore {
         }
     }
 
-    /// The store's root directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Looks `key` up; returns the memoized cell line on a hit.
+    /// Looks `key` up; returns the memoized cell line on a hit. An entry
+    /// that fails verification is a miss, reported on stderr.
     #[must_use]
     pub fn load(&self, key: MemoKey) -> Option<String> {
-        match std::fs::read_to_string(self.dir.join(key.file_name())) {
-            Ok(line) => {
+        match load::<MemoEntry>(&self.dir, &key) {
+            Ok(entry) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(line)
+                Some(entry.line)
             }
-            Err(_) => {
+            Err(e) => {
+                if !e.is_not_found() {
+                    eprintln!(
+                        "wsrs-serve: memo entry {} unusable ({e}); re-simulating",
+                        key.file_name()
+                    );
+                }
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
     }
 
-    /// Atomically writes `line` under `key` ([`wsrs_trace::write_atomic`]
-    /// — concurrent writers and abrupt kills never expose partial entries).
+    /// Atomically writes `line` under `key` ([`write_atomic`] — concurrent
+    /// writers and abrupt kills never expose partial entries).
     pub fn store(&self, key: MemoKey, line: &str) -> std::io::Result<()> {
-        wsrs_trace::write_atomic(&self.dir, &key.file_name(), line.as_bytes())?;
+        let entry = MemoEntry {
+            key,
+            line: line.to_string(),
+        };
+        write_atomic(&self.dir, &key.file_name(), &entry.encode())?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Number of complete entries on disk (a missing directory is an
-    /// empty store).
+    /// Number of entries on disk whose name is a [`MemoKey`]'s (a missing
+    /// directory is an empty store).
     #[must_use]
     pub fn entry_count(&self) -> usize {
-        let Ok(rd) = std::fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        rd.filter_map(Result::ok)
-            .filter(|e| {
-                e.file_name()
-                    .to_str()
-                    .is_some_and(|n| MemoKey::parse_file_name(n).is_some())
-            })
-            .count()
+        walk::<MemoKey>(&self.dir).map_or(0, |es| es.iter().filter(|e| e.key.is_some()).count())
     }
 
     /// Garbage-collects the store: removes `.json` entries whose `sim`
     /// key component differs from `current_sim` (results from an older
-    /// timing model — they can never hit again) and `.json` files that
-    /// do not parse as a [`MemoKey`] at all (e.g. pre-sampling
-    /// three-part names). Non-`.json` files are left alone. With
-    /// `dry_run` nothing is deleted; the report says what would go.
+    /// timing model — they can never hit again), `.json` files that do
+    /// not parse as a [`MemoKey`] at all (e.g. pre-sampling three-part
+    /// names), and current entries that fail the frame or key check.
+    /// Non-`.json` files are left alone. With `dry_run` nothing is
+    /// deleted; the report says what would go.
     ///
     /// # Errors
     ///
@@ -168,32 +123,18 @@ impl MemoStore {
     /// store directory is an empty store and reports zeros.
     pub fn gc(&self, current_sim: u64, dry_run: bool) -> std::io::Result<GcReport> {
         let mut report = GcReport::default();
-        let rd = match std::fs::read_dir(&self.dir) {
-            Ok(rd) => rd,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(report),
-            Err(e) => return Err(e),
-        };
-        for entry in rd {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if !name.ends_with(".json") {
-                continue;
-            }
-            match MemoKey::parse_file_name(name) {
-                Some(key) if key.sim == current_sim => report.kept += 1,
-                Some(_) => {
-                    report.stale += 1;
-                    if !dry_run {
-                        std::fs::remove_file(entry.path())?;
-                    }
+        for entry in walk::<MemoKey>(&self.dir)? {
+            let tally = match entry.key {
+                Some(key) if key.sim != current_sim => &mut report.stale,
+                Some(key) if load::<MemoEntry>(&self.dir, &key).is_ok() => {
+                    report.kept += 1;
+                    continue;
                 }
-                None => {
-                    report.malformed += 1;
-                    if !dry_run {
-                        std::fs::remove_file(entry.path())?;
-                    }
-                }
+                _ => &mut report.malformed,
+            };
+            *tally += 1;
+            if !dry_run {
+                std::fs::remove_file(&entry.path)?;
             }
         }
         Ok(report)
@@ -300,6 +241,22 @@ mod tests {
         store.store(current, "a").unwrap();
         store.store(sampled, "b").unwrap();
         store.store(stale, "c").unwrap();
+        // A current-revision entry with one flipped byte, and one holding
+        // the plain JSON line entries carried before they were framed.
+        let flipped = MemoKey {
+            config: 3,
+            ..current
+        };
+        store.store(flipped, "e").unwrap();
+        let path = dir.join(flipped.file_name());
+        let mut image = std::fs::read(&path).unwrap();
+        image[20] ^= 0x01;
+        std::fs::write(&path, image).unwrap();
+        let plain = MemoKey {
+            config: 4,
+            ..current
+        };
+        std::fs::write(dir.join(plain.file_name()), "{\"ipc\":1.5}").unwrap();
         // A legacy three-part entry and a foreign file.
         std::fs::write(
             dir.join("0000000000000001-0000000000000002-0000000000000029.json"),
@@ -309,11 +266,11 @@ mod tests {
         std::fs::write(dir.join("README.txt"), "not an entry").unwrap();
 
         let dry = store.gc(42, true).unwrap();
-        assert_eq!((dry.kept, dry.stale, dry.malformed), (2, 1, 1));
-        assert_eq!(store.entry_count(), 3, "dry run must delete nothing");
+        assert_eq!((dry.kept, dry.stale, dry.malformed), (2, 1, 3));
+        assert_eq!(store.entry_count(), 5, "dry run must delete nothing");
 
         let real = store.gc(42, false).unwrap();
-        assert_eq!((real.kept, real.stale, real.malformed), (2, 1, 1));
+        assert_eq!((real.kept, real.stale, real.malformed), (2, 1, 3));
         assert_eq!(store.entry_count(), 2);
         assert!(store.load(current).is_some());
         assert!(store.load(sampled).is_some());

@@ -38,11 +38,11 @@ use std::time::Duration;
 
 use wsrs_bench::manifest::cell_record;
 use wsrs_bench::{
-    config_registry, trace_key, CellQueue, CellResult, RunEnv, RunParams, TraceCache,
+    config_registry, trace_key, CellQueue, CellResult, RunEnv, RunParams, TraceCache, WorkUnit,
 };
 use wsrs_core::SimConfig;
 use wsrs_telemetry::Json;
-use wsrs_trace::TraceStore;
+use wsrs_trace::{StoreKey, TraceStore};
 use wsrs_workloads::Workload;
 
 use crate::http::{read_request, respond, respond_error, ChunkedWriter, Request};
@@ -353,9 +353,20 @@ impl ServerState {
             };
             match claimed {
                 Some((run, unit)) => {
-                    let sink = |r: CellResult| self.finish_cell(&run, r);
+                    // The unit counts before its last cell can end a
+                    // client's stream, so `/v1/stats` read after the
+                    // stream never misses it.
+                    let last = match &run.queue.units()[unit] {
+                        WorkUnit::Scalar(i) => *i,
+                        WorkUnit::Batch(group) => group[group.len() - 1],
+                    };
+                    let sink = |r: CellResult| {
+                        if r.cell == last {
+                            self.units_run.fetch_add(1, Ordering::Relaxed);
+                        }
+                        self.finish_cell(&run, r);
+                    };
                     run.queue.run_unit(unit, &run.cache, &sink);
-                    self.units_run.fetch_add(1, Ordering::Relaxed);
                 }
                 None => {
                     let guard = self.runs.lock().unwrap();

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use wsrs_bench::client;
 use wsrs_serve::{MemoKey, MemoStore, Server, ServerOptions};
 use wsrs_telemetry::Json;
-use wsrs_trace::TraceKey;
+use wsrs_trace::{load, MemoEntry, StoreKey, TraceKey};
 
 /// A tiny two-cell grid (distinct workloads, so two scalar units).
 const GRID: &str = "{\"warmup\": 2000, \"measure\": 4000, \"cells\": [\
@@ -335,8 +335,8 @@ fn cell_lines_carry_no_retired_keys_and_stale_revisions_miss() {
         ..current
     };
     assert_ne!(parent.sim, current.sim);
-    let memo_line = std::fs::read_to_string(memo_dir.join(current.file_name())).unwrap();
-    assert_eq!(memo_line, line);
+    let entry: MemoEntry = load(&memo_dir, &current).expect("framed entry");
+    assert_eq!(entry.line, line);
     let stale = line.replacen(
         "\"config_content_hash\"",
         "\"config_hash\":\"5d6f1e2a9b3c4d7e\",\"config_content_hash\"",
@@ -425,6 +425,103 @@ fn renamed_trace_does_not_serve_another_windows_memo_entry() {
     assert_eq!(status_field(&addr, second, "simulated"), 1);
     wait_done(&addr, second);
     assert_ne!(trace_checksum(&stream(&addr, second)), w1);
+
+    shutdown();
+    server_thread.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&memo_dir);
+    let _ = std::fs::remove_dir_all(&trace_dir);
+}
+
+/// The memo key of the one cell line in `streamed`.
+fn memo_key_of(streamed: &str) -> MemoKey {
+    let line = streamed.lines().nth(1).expect("one cell line");
+    let v = Json::parse(line).expect("complete JSON line");
+    let hex = |field: &str| {
+        u64::from_str_radix(v.get(field).and_then(Json::as_str).unwrap(), 16).unwrap()
+    };
+    MemoKey {
+        config: hex("config_content_hash"),
+        trace: hex("trace_checksum"),
+        sim: hex("sim_rev"),
+        spec: 0,
+    }
+}
+
+/// A memo entry that fails its frame or its key check is a miss: the
+/// cell re-simulates, streams exactly what the clean run streamed, and
+/// its entry is rewritten so that it verifies. Covers a flipped byte, an
+/// entry renamed onto another cell's name, and the plain JSON line that
+/// entries held before they were framed.
+#[test]
+fn corrupt_memo_entries_are_misses_and_are_rewritten() {
+    let cell = |config: &str| {
+        format!(
+            "{{\"warmup\": 2000, \"measure\": 4000, \"cells\": [\
+             {{\"workload\": \"gzip\", \"config\": \"{config}\"}}]}}"
+        )
+    };
+    let jobs = [cell("RR 256"), cell("WSRS RC S 512")];
+    let memo_dir = temp_dir("memo-corrupt");
+    let trace_dir = temp_dir("traces-corrupt");
+    let opts = ServerOptions {
+        workers: 1,
+        paused: false,
+        memo_dir: memo_dir.clone(),
+        trace_dir: trace_dir.clone(),
+    };
+    let server = Server::bind("127.0.0.1:0", &opts).expect("bind");
+    let addr = server.addr().to_string();
+    let shutdown = server.shutdown_handle();
+    let server_thread = std::thread::spawn(move || server.run());
+
+    // The clean memoizing run: one entry per job.
+    let clean: Vec<String> = jobs
+        .iter()
+        .map(|job| {
+            let id = submit(&addr, job);
+            wait_done(&addr, id);
+            stream(&addr, id)
+        })
+        .collect();
+    let keys: Vec<MemoKey> = clean.iter().map(|s| memo_key_of(s)).collect();
+    let path = |k: MemoKey| memo_dir.join(k.file_name());
+
+    let flip = || {
+        let mut image = std::fs::read(path(keys[0])).unwrap();
+        let mid = image.len() / 2;
+        image[mid] ^= 0x01;
+        std::fs::write(path(keys[0]), image).unwrap();
+        0
+    };
+    let plain = || {
+        let line = clean[0].lines().nth(1).unwrap();
+        std::fs::write(path(keys[0]), line).unwrap();
+        0
+    };
+    let rename = || {
+        std::fs::rename(path(keys[0]), path(keys[1])).unwrap();
+        1
+    };
+    let cases: [(&str, &dyn Fn() -> usize); 3] = [
+        ("flipped byte", &flip),
+        ("plain JSON entry", &plain),
+        ("entry renamed onto another cell's name", &rename),
+    ];
+    for (case, corrupt) in cases {
+        let victim = corrupt();
+        let rerun = submit(&addr, &jobs[victim]);
+        assert_eq!(status_field(&addr, rerun, "simulated"), 1, "{case}");
+        assert_eq!(status_field(&addr, rerun, "memoized"), 0, "{case}");
+        wait_done(&addr, rerun);
+        assert_eq!(stream(&addr, rerun), clean[victim], "{case}");
+        let entry: MemoEntry = load(&memo_dir, &keys[victim])
+            .unwrap_or_else(|e| panic!("{case}: rewritten entry must verify: {e}"));
+        assert_eq!(
+            Some(entry.line.as_str()),
+            clean[victim].lines().nth(1),
+            "{case}"
+        );
+    }
 
     shutdown();
     server_thread.join().expect("server thread");

@@ -10,10 +10,9 @@
 //!
 //! The record is deliberately semi-structured: the payload is a list of
 //! `(tag, bytes)` sections whose contents only the simulator core
-//! interprets (`wsrs-trace` must not depend on `wsrs-core`). The file
-//! format follows the trace-file template ([`crate::file`]): versioned
-//! magic, little-endian fields, whole-file FNV-1a trailing checksum
-//! verified before any structural parsing. All integers little-endian:
+//! interprets (`wsrs-trace` must not depend on `wsrs-core`). A checkpoint
+//! file is one [frame](crate::artifact), the frame traces and memo
+//! entries share; all integers little-endian:
 //!
 //! ```text
 //! magic          8 bytes   "WSRSCKP1"
@@ -31,27 +30,19 @@
 //!
 //! Checkpoints live in the same store directory as traces, under a
 //! distinct extension (`.wsck`) with the key in the filename, written
-//! atomically — the same staleness-by-construction and
-//! corruption-by-verification scheme as [`crate::store`].
+//! atomically and loaded through the same key check ([`crate::load`]).
 
-use std::path::PathBuf;
+use crate::artifact::{load, write_atomic, Artifact, Frame, StoreKey, TraceError};
+use crate::store::TraceStore;
 
-use wsrs_isa::fnv1a_64;
+/// The checkpoint file's frame head.
+pub const CHECKPOINT_FRAME: Frame = Frame {
+    magic: *b"WSRSCKP1",
+    version: 1,
+};
 
-use crate::file::TraceError;
-use crate::store::{write_atomic, TraceStore};
-
-/// Checkpoint file magic, embedding the first format generation.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"WSRSCKP1";
-/// Current checkpoint format version; readers reject anything else.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
-/// Extension of checkpoint files inside a store directory.
-pub const CHECKPOINT_EXT: &str = "wsck";
-
-/// Fixed-size portion preceding the sections.
-const FIXED_HEADER: usize = 8 + 4 + 8 + 8 + 8 + 8 + 4 + 8 + 4;
-/// Footer: checksum only.
-const FOOTER: usize = 8;
+/// Fixed-size portion of the body preceding the sections.
+const FIXED_BODY: usize = 8 + 8 + 8 + 8 + 4 + 8 + 4;
 
 /// The content-addressed identity of one warmup checkpoint.
 ///
@@ -74,23 +65,26 @@ pub struct CheckpointKey {
     pub interval: u32,
 }
 
-impl CheckpointKey {
-    /// The store filename this key maps to.
-    #[must_use]
-    pub fn file_name(&self) -> String {
+impl StoreKey for CheckpointKey {
+    const KIND: &'static str = "checkpoint";
+    const EXT: &'static str = "wsck";
+
+    fn file_name(&self) -> String {
         format!(
-            "ck-{:016x}-{:016x}-{:016x}-{:016x}-i{}.{CHECKPOINT_EXT}",
-            self.trace, self.sim, self.spec, self.warm, self.interval
+            "ck-{:016x}-{:016x}-{:016x}-{:016x}-i{}.{}",
+            self.trace,
+            self.sim,
+            self.spec,
+            self.warm,
+            self.interval,
+            Self::EXT
         )
     }
 
-    /// Parses a store filename back into its key; `None` for foreign
-    /// files.
-    #[must_use]
-    pub fn parse_file_name(name: &str) -> Option<CheckpointKey> {
+    fn parse_file_name(name: &str) -> Option<CheckpointKey> {
         let stem = name
             .strip_prefix("ck-")?
-            .strip_suffix(&format!(".{CHECKPOINT_EXT}"))?;
+            .strip_suffix(&format!(".{}", Self::EXT))?;
         let mut parts = stem.split('-');
         let trace = u64::from_str_radix(parts.next()?, 16).ok()?;
         let sim = u64::from_str_radix(parts.next()?, 16).ok()?;
@@ -130,65 +124,54 @@ impl CheckpointRecord {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let body: usize = self.sections.iter().map(|(_, b)| 12 + b.len()).sum();
-        let mut out = Vec::with_capacity(FIXED_HEADER + body + FOOTER);
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.key.trace.to_le_bytes());
-        out.extend_from_slice(&self.key.sim.to_le_bytes());
-        out.extend_from_slice(&self.key.spec.to_le_bytes());
-        out.extend_from_slice(&self.key.warm.to_le_bytes());
-        out.extend_from_slice(&self.key.interval.to_le_bytes());
-        out.extend_from_slice(&self.ff_uops.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for (tag, bytes) in &self.sections {
-            out.extend_from_slice(&tag.to_le_bytes());
-            out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-            out.extend_from_slice(bytes);
-        }
-        let checksum = fnv1a_64(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        CHECKPOINT_FRAME.write(FIXED_BODY + body, |out| {
+            out.extend_from_slice(&self.key.trace.to_le_bytes());
+            out.extend_from_slice(&self.key.sim.to_le_bytes());
+            out.extend_from_slice(&self.key.spec.to_le_bytes());
+            out.extend_from_slice(&self.key.warm.to_le_bytes());
+            out.extend_from_slice(&self.key.interval.to_le_bytes());
+            out.extend_from_slice(&self.ff_uops.to_le_bytes());
+            out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
+            for (tag, bytes) in &self.sections {
+                out.extend_from_slice(&tag.to_le_bytes());
+                out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+                out.extend_from_slice(bytes);
+            }
+        })
     }
 
-    /// Parses and integrity-checks a complete file image.
-    pub fn from_bytes(bytes: &[u8]) -> Result<CheckpointRecord, TraceError> {
-        let len = bytes.len();
-        if len < FIXED_HEADER + FOOTER {
-            return Err(TraceError::Truncated {
-                len,
-                need: FIXED_HEADER + FOOTER,
-            });
-        }
-        if bytes[..8] != CHECKPOINT_MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        // Integrity first, as in the trace format: a checksum failure must
-        // win over whatever a corrupted structure would produce.
-        let stored = u64::from_le_bytes(bytes[len - 8..].try_into().unwrap());
-        let computed = fnv1a_64(&bytes[..len - 8]);
-        if stored != computed {
-            return Err(TraceError::ChecksumMismatch { stored, computed });
-        }
+    /// The section bytes stored under `tag`, if present.
+    #[must_use]
+    pub fn section(&self, tag: u32) -> Option<&[u8]> {
+        self.sections
+            .iter()
+            .find(|(t, _)| *t == tag)
+            .map(|(_, b)| b.as_slice())
+    }
+}
 
-        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        let version = u32_at(8);
-        if version != CHECKPOINT_FORMAT_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
+impl Artifact for CheckpointRecord {
+    type Key = CheckpointKey;
+
+    fn from_image(image: Vec<u8>) -> Result<CheckpointRecord, TraceError> {
+        let body = CHECKPOINT_FRAME.read(&image, FIXED_BODY)?;
+        let u32_at = |at: usize| u32::from_le_bytes(body[at..at + 4].try_into().unwrap());
+        let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
         let key = CheckpointKey {
-            trace: u64_at(12),
-            sim: u64_at(20),
-            spec: u64_at(28),
-            warm: u64_at(36),
-            interval: u32_at(44),
+            trace: u64_at(0),
+            sim: u64_at(8),
+            spec: u64_at(16),
+            warm: u64_at(24),
+            interval: u32_at(32),
         };
-        let ff_uops = u64_at(48);
-        let section_count = u32_at(56) as usize;
+        let ff_uops = u64_at(36);
+        let section_count = u32_at(44) as usize;
 
-        let mut sections = Vec::with_capacity(section_count);
-        let mut at = FIXED_HEADER;
-        let end = len - FOOTER;
+        let end = body.len();
+        // Each section takes at least 12 bytes: bound the count read from
+        // the file before allocating for it.
+        let mut sections = Vec::with_capacity(section_count.min(end / 12));
+        let mut at = FIXED_BODY;
         for s in 0..section_count {
             if at + 12 > end {
                 return Err(TraceError::Malformed(format!(
@@ -198,12 +181,12 @@ impl CheckpointRecord {
             let tag = u32_at(at);
             let blen = u64_at(at + 4) as usize;
             at += 12;
-            if at + blen > end {
+            if blen > end - at {
                 return Err(TraceError::Malformed(format!(
                     "section {s} length {blen} past payload end"
                 )));
             }
-            sections.push((tag, bytes[at..at + blen].to_vec()));
+            sections.push((tag, body[at..at + blen].to_vec()));
             at += blen;
         }
         if at != end {
@@ -219,38 +202,17 @@ impl CheckpointRecord {
         })
     }
 
-    /// The section bytes stored under `tag`, if present.
-    #[must_use]
-    pub fn section(&self, tag: u32) -> Option<&[u8]> {
-        self.sections
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, b)| b.as_slice())
+    fn key(&self) -> CheckpointKey {
+        self.key
     }
 }
 
 /// Checkpoint storage alongside traces in a [`TraceStore`] directory.
 impl TraceStore {
-    /// The path a checkpoint key maps to.
-    #[must_use]
-    pub fn checkpoint_path(&self, key: &CheckpointKey) -> PathBuf {
-        self.dir().join(key.file_name())
-    }
-
-    /// Loads and fully validates the checkpoint stored under `key`; the
-    /// embedded key is cross-checked against the lookup key so a renamed
-    /// file cannot masquerade.
+    /// Loads and fully validates the checkpoint stored under `key`,
+    /// embedded key included.
     pub fn load_checkpoint(&self, key: &CheckpointKey) -> Result<CheckpointRecord, TraceError> {
-        let bytes = std::fs::read(self.checkpoint_path(key))?;
-        let rec = CheckpointRecord::from_bytes(&bytes)?;
-        if rec.key != *key {
-            return Err(TraceError::KeyMismatch {
-                field: "checkpoint",
-                want: key.file_name(),
-                found: rec.key.file_name(),
-            });
-        }
-        Ok(rec)
+        load(self.dir(), key)
     }
 
     /// Encodes and atomically writes `record` under its own key,
@@ -260,30 +222,14 @@ impl TraceStore {
         write_atomic(self.dir(), &record.key.file_name(), &image)?;
         Ok(image.len() as u64)
     }
-
-    /// All checkpoint files in the store, sorted by filename. A missing
-    /// store directory is an empty store.
-    pub fn checkpoint_entries(&self) -> std::io::Result<Vec<PathBuf>> {
-        let mut out = Vec::new();
-        let rd = match std::fs::read_dir(self.dir()) {
-            Ok(rd) => rd,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e),
-        };
-        for entry in rd {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) == Some(CHECKPOINT_EXT) {
-                out.push(path);
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::walk;
+    use crate::memo::{MemoEntry, MemoKey};
+    use wsrs_isa::fnv1a_64;
 
     fn key() -> CheckpointKey {
         CheckpointKey {
@@ -305,6 +251,33 @@ mod tests {
                 (7, vec![]),
             ],
         }
+    }
+
+    fn memo() -> MemoEntry {
+        MemoEntry {
+            key: MemoKey {
+                config: 0x0123_4567_89ab_cdef,
+                trace: 0xdead_beef_0123_4567,
+                sim: 0x0011_2233_4455_6677,
+                spec: 0,
+            },
+            line: "{\"workload\":\"gzip\",\"config\":\"RR 256\",\"ipc\":1.5}".into(),
+        }
+    }
+
+    /// Whether `image` parses as its kind: the corruption table runs over
+    /// a checkpoint and a memo entry, which share one frame.
+    type Parses = fn(Vec<u8>) -> bool;
+
+    fn kinds() -> [(&'static str, Vec<u8>, Parses); 2] {
+        [
+            ("checkpoint", record().encode(), |i| {
+                CheckpointRecord::from_image(i).is_ok()
+            }),
+            ("memo", memo().encode(), |i| {
+                MemoEntry::from_image(i).is_ok()
+            }),
+        ]
     }
 
     fn temp_store(tag: &str) -> TraceStore {
@@ -333,35 +306,36 @@ mod tests {
     #[test]
     fn encode_decode_round_trips() {
         let rec = record();
-        let image = rec.encode();
-        let back = CheckpointRecord::from_bytes(&image).expect("parse");
+        let back = CheckpointRecord::from_image(rec.encode()).expect("parse");
         assert_eq!(back, rec);
         assert_eq!(back.section(2).unwrap().len(), 200);
         assert_eq!(back.section(7), Some(&[][..]));
         assert_eq!(back.section(99), None);
+        let entry = memo();
+        assert_eq!(MemoEntry::from_image(entry.encode()).expect("parse"), entry);
     }
 
     #[test]
     fn every_single_byte_flip_is_rejected() {
-        let image = record().encode();
-        for at in 0..image.len() {
-            let mut bad = image.clone();
-            bad[at] ^= 0x40;
-            assert!(
-                CheckpointRecord::from_bytes(&bad).is_err(),
-                "flip at byte {at} accepted"
-            );
+        for (kind, image, parses) in kinds() {
+            assert!(parses(image.clone()), "{kind}: clean image rejected");
+            for at in 0..image.len() {
+                let mut bad = image.clone();
+                bad[at] ^= 0x40;
+                assert!(!parses(bad), "{kind}: flip at byte {at} accepted");
+            }
         }
     }
 
     #[test]
     fn every_truncation_is_rejected() {
-        let image = record().encode();
-        for cut in 0..image.len() {
-            assert!(
-                CheckpointRecord::from_bytes(&image[..cut]).is_err(),
-                "truncation to {cut} bytes accepted"
-            );
+        for (kind, image, parses) in kinds() {
+            for cut in 0..image.len() {
+                assert!(
+                    !parses(image[..cut].to_vec()),
+                    "{kind}: truncation to {cut} bytes accepted"
+                );
+            }
         }
     }
 
@@ -373,7 +347,7 @@ mod tests {
         let sum = fnv1a_64(&image[..n - 8]);
         image[n - 8..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
-            CheckpointRecord::from_bytes(&image),
+            CheckpointRecord::from_image(image),
             Err(TraceError::UnsupportedVersion(99))
         ));
     }
@@ -386,11 +360,11 @@ mod tests {
         let back = store.load_checkpoint(&rec.key).expect("load");
         assert_eq!(back, rec);
         // Checkpoints are invisible to the trace listing and vice versa.
-        assert!(store.entries().unwrap().is_empty());
-        assert_eq!(
-            store.checkpoint_entries().unwrap(),
-            vec![store.checkpoint_path(&rec.key)]
-        );
+        assert!(walk::<crate::TraceKey>(store.dir()).unwrap().is_empty());
+        let listed = walk::<CheckpointKey>(store.dir()).unwrap();
+        assert_eq!(listed.len(), 1);
+        assert_eq!(listed[0].key, Some(rec.key));
+        assert_eq!(listed[0].path, store.dir().join(rec.key.file_name()));
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -399,28 +373,38 @@ mod tests {
         let store = temp_store("missing");
         let err = store.load_checkpoint(&key()).unwrap_err();
         assert!(err.is_not_found(), "{err}");
-        assert!(store.checkpoint_entries().unwrap().is_empty());
+        assert!(walk::<CheckpointKey>(store.dir()).unwrap().is_empty());
+    }
+
+    /// Writes `image` under `key`, renames it onto `other`'s name and
+    /// demands that loading `other` is a key mismatch of `A`'s kind.
+    fn assert_rename_rejected<A: Artifact + std::fmt::Debug>(
+        dir: &std::path::Path,
+        image: &[u8],
+        key: &A::Key,
+        other: &A::Key,
+    ) {
+        write_atomic(dir, &key.file_name(), image).unwrap();
+        std::fs::rename(dir.join(key.file_name()), dir.join(other.file_name())).unwrap();
+        match load::<A>(dir, other) {
+            Err(TraceError::KeyMismatch { kind, .. }) => assert_eq!(kind, A::Key::KIND),
+            got => panic!("{}: expected key mismatch, got {got:?}", A::Key::KIND),
+        }
     }
 
     #[test]
     fn renamed_checkpoint_is_rejected() {
         let store = temp_store("renamed");
         let rec = record();
-        store.save_checkpoint(&rec).unwrap();
         let mut other = rec.key;
         other.interval += 1;
-        std::fs::rename(
-            store.checkpoint_path(&rec.key),
-            store.checkpoint_path(&other),
-        )
-        .unwrap();
-        match store.load_checkpoint(&other) {
-            Err(TraceError::KeyMismatch {
-                field: "checkpoint",
-                ..
-            }) => {}
-            got => panic!("expected key mismatch, got {got:?}"),
-        }
+        assert_rename_rejected::<CheckpointRecord>(store.dir(), &rec.encode(), &rec.key, &other);
+        let entry = memo();
+        let other = MemoKey {
+            config: entry.key.config ^ 1,
+            ..entry.key
+        };
+        assert_rename_rejected::<MemoEntry>(store.dir(), &entry.encode(), &entry.key, &other);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -429,7 +413,7 @@ mod tests {
         let store = temp_store("corrupt");
         let rec = record();
         store.save_checkpoint(&rec).unwrap();
-        let path = store.checkpoint_path(&rec.key);
+        let path = store.dir().join(rec.key.file_name());
         let mut image = std::fs::read(&path).unwrap();
         let mid = image.len() / 2;
         image[mid] ^= 0x10;

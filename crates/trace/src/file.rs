@@ -1,8 +1,9 @@
 //! The versioned on-disk trace file format.
 //!
 //! A trace file records the dynamic µop stream of one workload window so
-//! later runs replay it instead of re-emulating. All integers are
-//! little-endian:
+//! later runs replay it instead of re-emulating. It is one
+//! [frame](crate::artifact) (magic, version, body, checksum); all
+//! integers are little-endian:
 //!
 //! ```text
 //! magic          8 bytes   "WSRSTRC1"
@@ -20,7 +21,7 @@
 //! checksum       u64       FNV-1a over every preceding byte
 //! ```
 //!
-//! The whole-file checksum rejects corrupted or truncated files; the `rev`
+//! The frame's checksum rejects corrupted or truncated files; the `rev`
 //! field (plus the store's key-in-filename scheme, [`crate::store`])
 //! rejects stale ones. Blocks reset the codec's delta state, so the index
 //! gives O(1) seeks to any µop window without decoding the prefix.
@@ -28,22 +29,22 @@
 use std::path::Path;
 use std::sync::OnceLock;
 
-use wsrs_isa::{fnv1a_64, DynInst, UopCursor, UopSource};
+use wsrs_isa::{DynInst, UopCursor, UopSource};
 
+use crate::artifact::{checksum_of, Frame, TraceError, FRAME_HEAD, FRAME_TAIL};
 use crate::codec::{self, CodecError};
 
-/// File magic, also embedding the first format generation.
-pub const MAGIC: [u8; 8] = *b"WSRSTRC1";
-/// Current format version; readers reject anything newer or older.
-pub const FORMAT_VERSION: u32 = 1;
+/// The trace file's frame head.
+pub const TRACE_FRAME: Frame = Frame {
+    magic: *b"WSRSTRC1",
+    version: 1,
+};
 /// Default records per block: large enough to amortize per-block index
 /// cost, small enough for fine-grained window seeks.
 pub const DEFAULT_BLOCK_UOPS: u32 = 1 << 16;
 
-/// Fixed-size portion of the header preceding the workload name.
-const FIXED_HEADER: usize = 8 + 4 + 8 + 8 + 8 + 8 + 4 + 2;
-/// Footer: payload length + checksum.
-const FOOTER: usize = 8 + 8;
+/// Fixed-size portion of the body preceding the workload name.
+const FIXED_BODY: usize = 8 + 8 + 8 + 8 + 4 + 2;
 
 /// Everything a trace file declares about itself ahead of the payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,87 +68,6 @@ pub struct TraceHeader {
     pub workload: String,
 }
 
-/// Errors surfaced while reading or validating a trace file.
-#[derive(Debug)]
-pub enum TraceError {
-    /// Underlying filesystem error.
-    Io(std::io::Error),
-    /// The file is shorter than its own structure requires.
-    Truncated { len: usize, need: usize },
-    /// The magic bytes are wrong — not a trace file.
-    BadMagic,
-    /// A format version this reader does not speak.
-    UnsupportedVersion(u32),
-    /// The stored checksum does not match the file contents.
-    ChecksumMismatch { stored: u64, computed: u64 },
-    /// Structurally inconsistent (bad lengths, offsets, or strings).
-    Malformed(String),
-    /// A block failed to decode.
-    Codec(CodecError),
-    /// The file's header disagrees with the key used to look it up.
-    KeyMismatch {
-        field: &'static str,
-        want: String,
-        found: String,
-    },
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::Io(e) => write!(f, "i/o error: {e}"),
-            TraceError::Truncated { len, need } => {
-                write!(f, "file truncated: {len} bytes, need at least {need}")
-            }
-            TraceError::BadMagic => write!(f, "not a wsrs trace file (bad magic)"),
-            TraceError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
-            TraceError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            ),
-            TraceError::Malformed(why) => write!(f, "malformed trace file: {why}"),
-            TraceError::Codec(e) => write!(f, "payload decode error: {e}"),
-            TraceError::KeyMismatch { field, want, found } => {
-                write!(
-                    f,
-                    "trace key mismatch on {field}: want {want}, found {found}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TraceError::Io(e) => Some(e),
-            TraceError::Codec(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for TraceError {
-    fn from(e: std::io::Error) -> Self {
-        TraceError::Io(e)
-    }
-}
-
-impl From<CodecError> for TraceError {
-    fn from(e: CodecError) -> Self {
-        TraceError::Codec(e)
-    }
-}
-
-impl TraceError {
-    /// Whether this is a plain file-not-found — a cache *miss*, as opposed
-    /// to corruption, which callers may want to warn about.
-    #[must_use]
-    pub fn is_not_found(&self) -> bool {
-        matches!(self, TraceError::Io(e) if e.kind() == std::io::ErrorKind::NotFound)
-    }
-}
-
 /// Serializes `uops` under `header` into a complete trace file image,
 /// checksum included.
 ///
@@ -165,39 +85,27 @@ pub fn encode(header: &TraceHeader, uops: &[DynInst]) -> Vec<u8> {
     );
 
     // Loops compress to ~2 bytes per µop; reserve for that plus headroom.
-    let mut out = Vec::with_capacity(FIXED_HEADER + uops.len() * 3 + 64);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&header.rev.to_le_bytes());
-    out.extend_from_slice(&header.warmup.to_le_bytes());
-    out.extend_from_slice(&header.measure.to_le_bytes());
-    out.extend_from_slice(&header.uop_count.to_le_bytes());
-    out.extend_from_slice(&header.block_uops.to_le_bytes());
-    out.extend_from_slice(&(header.workload.len() as u16).to_le_bytes());
-    out.extend_from_slice(header.workload.as_bytes());
+    TRACE_FRAME.write(FIXED_BODY + uops.len() * 3 + 64, |out| {
+        out.extend_from_slice(&header.rev.to_le_bytes());
+        out.extend_from_slice(&header.warmup.to_le_bytes());
+        out.extend_from_slice(&header.measure.to_le_bytes());
+        out.extend_from_slice(&header.uop_count.to_le_bytes());
+        out.extend_from_slice(&header.block_uops.to_le_bytes());
+        out.extend_from_slice(&(header.workload.len() as u16).to_le_bytes());
+        out.extend_from_slice(header.workload.as_bytes());
 
-    let payload_start = out.len();
-    let mut index = Vec::new();
-    for block in uops.chunks(header.block_uops as usize) {
-        index.push((out.len() - payload_start) as u64);
-        codec::encode_block(block, &mut out);
-    }
-    let payload_len = (out.len() - payload_start) as u64;
-    for off in &index {
-        out.extend_from_slice(&off.to_le_bytes());
-    }
-    out.extend_from_slice(&payload_len.to_le_bytes());
-    let checksum = fnv1a_64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
-}
-
-/// The content checksum of a complete file image (its trailing u64).
-#[must_use]
-pub fn checksum_of(file_bytes: &[u8]) -> u64 {
-    let n = file_bytes.len();
-    assert!(n >= 8, "image too short to carry a checksum");
-    u64::from_le_bytes(file_bytes[n - 8..].try_into().unwrap())
+        let payload_start = out.len();
+        let mut index = Vec::new();
+        for block in uops.chunks(header.block_uops as usize) {
+            index.push((out.len() - payload_start) as u64);
+            codec::encode_block(block, out);
+        }
+        let payload_len = (out.len() - payload_start) as u64;
+        for off in &index {
+            out.extend_from_slice(&off.to_le_bytes());
+        }
+        out.extend_from_slice(&payload_len.to_le_bytes());
+    })
 }
 
 /// A parsed, checksum-verified trace file held in memory.
@@ -221,59 +129,43 @@ pub struct TraceFile {
 impl TraceFile {
     /// Parses and integrity-checks a complete file image.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<TraceFile, TraceError> {
-        let len = bytes.len();
-        if len < FIXED_HEADER + FOOTER {
-            return Err(TraceError::Truncated {
-                len,
-                need: FIXED_HEADER + FOOTER,
-            });
-        }
-        if bytes[..8] != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        // Integrity first: a checksum failure must win over whatever
-        // nonsense a corrupted structure would otherwise produce.
-        let stored = u64::from_le_bytes(bytes[len - 8..].try_into().unwrap());
-        let computed = fnv1a_64(&bytes[..len - 8]);
-        if stored != computed {
-            return Err(TraceError::ChecksumMismatch { stored, computed });
-        }
+        // The body ends with the block index and the payload length.
+        let body = TRACE_FRAME.read(&bytes, FIXED_BODY + 8)?;
+        let len = body.len();
+        let u64_at = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+        let rev = u64_at(0);
+        let warmup = u64_at(8);
+        let measure = u64_at(16);
+        let uop_count = u64_at(24);
+        let block_uops = u32::from_le_bytes(body[32..36].try_into().unwrap());
+        let workload_len = usize::from(u16::from_le_bytes(body[36..38].try_into().unwrap()));
 
-        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        let version = u32_at(8);
-        if version != FORMAT_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let rev = u64_at(12);
-        let warmup = u64_at(20);
-        let measure = u64_at(28);
-        let uop_count = u64_at(36);
-        let block_uops = u32_at(44);
-        let workload_len = usize::from(u16::from_le_bytes(bytes[48..50].try_into().unwrap()));
-
-        let payload_start = FIXED_HEADER + workload_len;
+        let payload_start = FIXED_BODY + workload_len;
         if block_uops == 0 {
             return Err(TraceError::Malformed("block_uops is zero".into()));
         }
         let n_blocks = uop_count.div_ceil(u64::from(block_uops));
-        let tail = 8 * n_blocks + FOOTER as u64;
-        let need = payload_start as u64 + tail;
+        // Saturating: the counts are read from the file.
+        let tail = n_blocks.saturating_mul(8).saturating_add(8);
+        let need = (payload_start as u64).saturating_add(tail);
         if (len as u64) < need {
             return Err(TraceError::Truncated {
-                len,
-                need: need as usize,
+                len: bytes.len(),
+                need: usize::try_from(need)
+                    .unwrap_or(usize::MAX)
+                    .saturating_add(FRAME_HEAD + FRAME_TAIL),
             });
         }
-        let workload = std::str::from_utf8(&bytes[FIXED_HEADER..payload_start])
+        let workload = std::str::from_utf8(&body[FIXED_BODY..payload_start])
             .map_err(|_| TraceError::Malformed("workload name is not UTF-8".into()))?
             .to_string();
 
-        let payload_len = u64_at(len - 16);
+        let payload_len = u64_at(len - 8);
         let index_start = len as u64 - tail;
         if payload_start as u64 + payload_len != index_start {
             return Err(TraceError::Malformed(format!(
-                "payload length {payload_len} inconsistent with file size {len}"
+                "payload length {payload_len} inconsistent with file size {}",
+                bytes.len()
             )));
         }
         let mut index = Vec::with_capacity(n_blocks as usize);
@@ -301,11 +193,11 @@ impl TraceFile {
                 block_uops,
                 workload,
             },
+            checksum: checksum_of(&bytes),
             bytes,
-            payload_start,
+            payload_start: FRAME_HEAD + payload_start,
             index,
             payload_len,
-            checksum: stored,
             stream_error: OnceLock::new(),
         })
     }
@@ -484,7 +376,7 @@ impl UopSource for TraceFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsrs_isa::{Opcode, Reg};
+    use wsrs_isa::{fnv1a_64, Opcode, Reg};
 
     fn sample_uops(n: usize) -> Vec<DynInst> {
         (0..n)

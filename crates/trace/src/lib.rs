@@ -1,31 +1,38 @@
-//! # wsrs-trace — persistent on-disk µop trace store
+//! # wsrs-trace — persistent on-disk µop traces, checkpoints and memo entries
 //!
 //! The experiment grids replay the same deterministic workload traces run
 //! after run; re-emulating them dominates cold-start wall time. This crate
 //! makes traces a durable artifact: a compact, versioned binary format for
 //! recorded [`DynInst`](wsrs_isa::DynInst) streams plus a keyed directory
 //! store, so a trace is emulated once per (workload, window, emulator
-//! revision) and replayed from disk forever after.
+//! revision) and replayed from disk forever after. Warmup checkpoints and
+//! `wsrs-serve`'s memoized cell results are stored the same way.
 //!
 //! The layers:
 //!
+//! * [`artifact`] — what the three kinds of stored artifact share: one
+//!   checksummed frame ([`Frame::write`]/[`Frame::read`]), one key check
+//!   ([`load`]), one directory walk ([`walk`]) and atomic writes
+//!   ([`write_atomic`]);
 //! * [`codec`] — delta/varint record coding, in independently decodable
 //!   blocks;
-//! * [`file`](mod@file) — the on-disk format: versioned header, block index for O(1)
-//!   window seeks, whole-file FNV-1a checksum; a [`TraceFile`] decodes
-//!   the whole payload or streams one block at a time;
-//! * [`store`] — the keyed directory ([`TraceStore`]), with atomic writes;
+//! * [`file`](mod@file) — the trace format: header, block index for O(1)
+//!   window seeks; a [`TraceFile`] decodes the whole payload or streams
+//!   one block at a time;
+//! * [`store`] — the keyed trace directory ([`TraceStore`]);
 //!   [`TraceStore::open`] validates a file without decoding it,
 //!   [`TraceStore::load`] also decodes every µop;
-//! * [`checkpoint`] — checksummed warmup-checkpoint records for interval
-//!   sampling, stored alongside traces under their own extension.
+//! * [`checkpoint`] — warmup-checkpoint records for interval sampling,
+//!   stored alongside traces under their own extension;
+//! * [`memo`] — memoized cell results ([`MemoEntry`]), which `wsrs-serve`
+//!   keeps in a directory of their own.
 //!
 //! Staleness is handled by construction: the store key embeds
 //! `Workload::trace_fingerprint()` (a hash of the emulator semantics
 //! revision and the assembled program), so any change to either simply
 //! misses the old file. Corruption is handled by verification: every read
-//! re-hashes the file and rejects mismatches, and callers fall back to
-//! re-emulation.
+//! re-hashes the file and checks its embedded key, and callers fall back
+//! to recomputing (re-emulation, fast-forward, re-simulation).
 //!
 //! # Example
 //!
@@ -44,16 +51,18 @@
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
+pub mod artifact;
 pub mod checkpoint;
 pub mod codec;
 pub mod file;
+pub mod memo;
 pub mod store;
 
-pub use checkpoint::{
-    CheckpointKey, CheckpointRecord, CHECKPOINT_EXT, CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC,
+pub use artifact::{
+    checksum_of, load, walk, write_atomic, Artifact, Entry, Frame, StoreKey, TraceError,
 };
+pub use checkpoint::{CheckpointKey, CheckpointRecord, CHECKPOINT_FRAME};
 pub use codec::{decode_block, encode_block, CodecError};
-pub use file::{
-    encode, TraceError, TraceFile, TraceHeader, Uops, DEFAULT_BLOCK_UOPS, FORMAT_VERSION, MAGIC,
-};
-pub use store::{write_atomic, LoadedTrace, SavedTrace, TraceKey, TraceStore, TRACE_EXT};
+pub use file::{encode, TraceFile, TraceHeader, Uops, DEFAULT_BLOCK_UOPS, TRACE_FRAME};
+pub use memo::{MemoEntry, MemoKey, MEMO_FRAME};
+pub use store::{LoadedTrace, SavedTrace, TraceKey, TraceStore};

@@ -3,42 +3,15 @@
 //! Files are named `{workload}-w{warmup}-m{measure}-{rev:016x}.wsrt`, so
 //! the lookup key *is* the filename: a kernel or emulator change alters
 //! `rev` and simply misses the stale file, which `trace rm --stale` can
-//! then garbage-collect. Saves are atomic ([`write_atomic`]: a temp file
-//! unique to the write, then a rename) so concurrent recorders never
-//! expose half-written traces.
+//! then garbage-collect. Saves are atomic ([`write_atomic`]) so
+//! concurrent recorders never expose half-written traces.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use wsrs_isa::DynInst;
 
-use crate::file::{self, TraceError, TraceFile, TraceHeader, DEFAULT_BLOCK_UOPS};
-
-/// Extension of trace files inside a store directory.
-pub const TRACE_EXT: &str = "wsrt";
-
-/// Per-process sequence number that makes every [`write_atomic`] temp
-/// name unique, even between threads writing the same target.
-static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Writes `bytes` to `dir/name` atomically, creating `dir` if needed.
-///
-/// The bytes go to `<name>.tmp.<pid>.<n>` first and are then renamed onto
-/// `name`, so a reader sees either the previous file or the complete new
-/// one. `n` comes from a process-wide counter, so concurrent writers of one
-/// name never share a temp file (a shared one lets one writer's rename take
-/// another's file, or publish an image another writer is still
-/// rewriting). The temp file is removed if the write or the rename fails.
-pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let n = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let tmp = dir.join(format!("{name}.tmp.{}.{n}", std::process::id()));
-    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, dir.join(name)));
-    if written.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    written
-}
+use crate::artifact::{checksum_of, load, write_atomic, Artifact, StoreKey, TraceError};
+use crate::file::{self, TraceFile, TraceHeader, DEFAULT_BLOCK_UOPS};
 
 /// The lookup key of one stored trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,21 +26,23 @@ pub struct TraceKey {
     pub rev: u64,
 }
 
-impl TraceKey {
-    /// The store filename this key maps to.
-    #[must_use]
-    pub fn file_name(&self) -> String {
+impl StoreKey for TraceKey {
+    const KIND: &'static str = "trace";
+    const EXT: &'static str = "wsrt";
+
+    fn file_name(&self) -> String {
         format!(
-            "{}-w{}-m{}-{:016x}.{TRACE_EXT}",
-            self.workload, self.warmup, self.measure, self.rev
+            "{}-w{}-m{}-{:016x}.{}",
+            self.workload,
+            self.warmup,
+            self.measure,
+            self.rev,
+            Self::EXT
         )
     }
 
-    /// Parses a store filename back into its key. Returns `None` for
-    /// foreign files.
-    #[must_use]
-    pub fn parse_file_name(name: &str) -> Option<TraceKey> {
-        let stem = name.strip_suffix(&format!(".{TRACE_EXT}"))?;
+    fn parse_file_name(name: &str) -> Option<TraceKey> {
+        let stem = name.strip_suffix(&format!(".{}", Self::EXT))?;
         // Fields are dash-separated from the right: workload names may not
         // contain dashes, but parse defensively anyway.
         let (rest, rev) = stem.rsplit_once('-')?;
@@ -85,6 +60,26 @@ impl TraceKey {
             measure,
             rev,
         })
+    }
+}
+
+/// A trace file's embedded key is its header's workload, window and
+/// revision.
+impl Artifact for TraceFile {
+    type Key = TraceKey;
+
+    fn from_image(image: Vec<u8>) -> Result<TraceFile, TraceError> {
+        TraceFile::from_bytes(image)
+    }
+
+    fn key(&self) -> TraceKey {
+        let h = self.header();
+        TraceKey {
+            workload: h.workload.clone(),
+            warmup: h.warmup,
+            measure: h.measure,
+            rev: h.rev,
+        }
     }
 }
 
@@ -110,7 +105,8 @@ pub struct SavedTrace {
     pub bytes: u64,
 }
 
-/// A directory of trace files addressed by [`TraceKey`].
+/// A directory of trace files addressed by [`TraceKey`], with warmup
+/// checkpoints ([`crate::checkpoint`]) alongside.
 #[derive(Clone, Debug)]
 pub struct TraceStore {
     dir: PathBuf,
@@ -138,15 +134,12 @@ impl TraceStore {
     /// Opens and validates the trace stored under `key` without decoding
     /// its payload.
     ///
-    /// Beyond the file's own integrity checksum (checked first), the
-    /// header is cross-checked against the key, so a renamed or colliding
-    /// file cannot masquerade as the wrong trace, and the record count
-    /// must fit the declared window. Stream the µops with
+    /// Beyond the frame's checksum and the key check ([`load`]), the
+    /// record count must fit the declared window. Stream the µops with
     /// [`TraceFile::uops_from`], or decode them all with [`TraceStore::load`].
     pub fn open(&self, key: &TraceKey) -> Result<TraceFile, TraceError> {
-        let file = TraceFile::open(&self.path_for(key))?;
+        let file: TraceFile = load(&self.dir, key)?;
         let h = file.header();
-        validate(key, h)?;
         // Shorter is legal (the workload halted inside the window); longer
         // means the file does not match its own declared window.
         if h.uop_count > h.warmup + h.measure {
@@ -181,73 +174,19 @@ impl TraceStore {
             workload: key.workload.clone(),
         };
         let image = file::encode(&header, uops);
-        let checksum = file::checksum_of(&image);
         write_atomic(&self.dir, &key.file_name(), &image)?;
         Ok(SavedTrace {
             path: self.path_for(key),
-            checksum,
+            checksum: checksum_of(&image),
             bytes: image.len() as u64,
         })
     }
-
-    /// Removes the trace stored under `key`, if present. Returns whether a
-    /// file was deleted.
-    pub fn remove(&self, key: &TraceKey) -> std::io::Result<bool> {
-        match std::fs::remove_file(self.path_for(key)) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// All trace files in the store, sorted by filename. A missing store
-    /// directory is an empty store.
-    pub fn entries(&self) -> std::io::Result<Vec<PathBuf>> {
-        let mut out = Vec::new();
-        let rd = match std::fs::read_dir(&self.dir) {
-            Ok(rd) => rd,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e),
-        };
-        for entry in rd {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) == Some(TRACE_EXT) {
-                out.push(path);
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-}
-
-fn validate(key: &TraceKey, h: &TraceHeader) -> Result<(), TraceError> {
-    if h.workload != key.workload {
-        return Err(TraceError::KeyMismatch {
-            field: "workload",
-            want: key.workload.clone(),
-            found: h.workload.clone(),
-        });
-    }
-    if h.rev != key.rev {
-        return Err(TraceError::KeyMismatch {
-            field: "rev",
-            want: format!("{:016x}", key.rev),
-            found: format!("{:016x}", h.rev),
-        });
-    }
-    if (h.warmup, h.measure) != (key.warmup, key.measure) {
-        return Err(TraceError::KeyMismatch {
-            field: "window",
-            want: format!("w{}+m{}", key.warmup, key.measure),
-            found: format!("w{}+m{}", h.warmup, h.measure),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::walk;
     use wsrs_isa::{Opcode, Reg};
 
     fn temp_store(tag: &str) -> TraceStore {
@@ -306,7 +245,9 @@ mod tests {
         let opened = store.open(&k).expect("open");
         assert_eq!(opened.checksum(), saved.checksum);
         assert_eq!(opened.uops_from(0).collect::<Vec<_>>(), us);
-        assert_eq!(store.entries().unwrap(), vec![saved.path]);
+        let listed = walk::<TraceKey>(store.dir()).unwrap();
+        assert_eq!(listed.len(), 1);
+        assert_eq!((&listed[0].path, &listed[0].key), (&saved.path, &Some(k)));
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -315,7 +256,7 @@ mod tests {
         let store = temp_store("missing");
         let err = store.load(&key()).unwrap_err();
         assert!(err.is_not_found(), "{err}");
-        assert!(store.entries().unwrap().is_empty());
+        assert!(walk::<TraceKey>(store.dir()).unwrap().is_empty());
     }
 
     #[test]
@@ -330,11 +271,11 @@ mod tests {
         std::fs::rename(store.path_for(&k), store.path_for(&other)).unwrap();
         assert!(matches!(
             store.open(&other),
-            Err(TraceError::KeyMismatch { field: "rev", .. })
+            Err(TraceError::KeyMismatch { kind: "trace", .. })
         ));
         match store.load(&other) {
-            Err(TraceError::KeyMismatch { field: "rev", .. }) => {}
-            other => panic!("expected rev mismatch, got {other:?}"),
+            Err(TraceError::KeyMismatch { kind: "trace", .. }) => {}
+            other => panic!("expected a key mismatch, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(store.dir());
     }
@@ -363,10 +304,8 @@ mod tests {
         other.warmup = 7;
         std::fs::rename(store.path_for(&k), store.path_for(&other)).unwrap();
         match store.load(&other) {
-            Err(TraceError::KeyMismatch {
-                field: "window", ..
-            }) => {}
-            got => panic!("expected window mismatch, got {got:?}"),
+            Err(TraceError::KeyMismatch { kind: "trace", .. }) => {}
+            got => panic!("expected a key mismatch, got {got:?}"),
         }
         let _ = std::fs::remove_dir_all(store.dir());
     }

@@ -4,7 +4,7 @@
 //! to in `prop_codec.rs`.
 
 use proptest::prelude::*;
-use wsrs_trace::{CheckpointKey, CheckpointRecord};
+use wsrs_trace::{Artifact, CheckpointKey, CheckpointRecord, StoreKey};
 
 /// Builds a record from raw random draws. Section tags may repeat
 /// (`section()` returns the first match; the codec must still round-trip
@@ -45,7 +45,7 @@ proptest! {
         sections in sections_strategy(),
     ) {
         let rec = build_record(raw_key, ff_uops, &sections);
-        let back = CheckpointRecord::from_bytes(&rec.encode()).expect("parse");
+        let back = CheckpointRecord::from_image(rec.encode()).expect("parse");
         prop_assert_eq!(&back, &rec);
         prop_assert_eq!(
             CheckpointKey::parse_file_name(&rec.key.file_name()),
@@ -63,7 +63,7 @@ proptest! {
     ) {
         let image = build_record(raw_key, ff_uops, &sections).encode();
         let cut = (cut_seed % image.len() as u64) as usize;
-        prop_assert!(CheckpointRecord::from_bytes(&image[..cut]).is_err());
+        prop_assert!(CheckpointRecord::from_image(image[..cut].to_vec()).is_err());
     }
 
     /// No single bit flip of a valid image is accepted — header, key,
@@ -80,7 +80,7 @@ proptest! {
         let at = (flip_seed % image.len() as u64) as usize;
         image[at] ^= 1 << bit;
         prop_assert!(
-            CheckpointRecord::from_bytes(&image).is_err(),
+            CheckpointRecord::from_image(image).is_err(),
             "flip bit {} at {} accepted", bit, at
         );
     }
